@@ -29,12 +29,9 @@ from .runtime import (
     SetTimer,
     TimeoutEvent,
     attach_timer,
-    demux_timed,
     lift_timed,
-    machine_stream,
-    merge_timed,
 )
-from .streams import Tick, TimedStream
+from .streams import Tick
 
 # Slots the sender waits for an acknowledgement before resending.
 RESEND_TIMEOUT = 3
@@ -104,15 +101,21 @@ class OracleSpec:
             kind = data["kind"]
         except (TypeError, KeyError):
             raise ValueError("oracle: missing field 'kind'") from None
-        if kind == "explicit":
-            return cls.explicit(data.get("bits", ()))
-        if kind == "cyclic":
-            return cls.cyclic(data.get("bits", ()))
+        if kind in ("explicit", "cyclic"):
+            bits = data.get("bits", [])
+            if not isinstance(bits, list) or not all(isinstance(b, bool) for b in bits):
+                raise ValueError("oracle: field 'bits': must be a list of booleans")
+            return cls.explicit(bits) if kind == "explicit" else cls.cyclic(bits)
         if kind == "bernoulli":
-            try:
-                return cls.bernoulli(data["pass_probability"], int(data["seed"]))
-            except KeyError as missing:
-                raise ValueError(f"oracle: missing field {missing.args[0]!r}") from None
+            for key in ("pass_probability", "seed"):
+                if key not in data:
+                    raise ValueError(f"oracle: missing field {key!r}")
+            probability, seed = data["pass_probability"], data["seed"]
+            if isinstance(probability, bool) or not isinstance(probability, (int, float)):
+                raise ValueError("oracle: field 'pass_probability': must be a number")
+            if isinstance(seed, bool) or not isinstance(seed, int):
+                raise ValueError("oracle: field 'seed': must be an integer")
+            return cls.bernoulli(probability, seed)
         raise ValueError(f"oracle: unknown kind {kind!r}")
 
     def fairness_warning(self) -> Optional[str]:
@@ -185,30 +188,12 @@ def make_sender_delta(timeout: int = RESEND_TIMEOUT):
 sender_delta = make_sender_delta()
 
 
-def sender_component(
-    inputs: TimedStream,
-    acks: TimedStream,
-    *,
-    timeout: int = RESEND_TIMEOUT,
-    initial_bit: bool = INITIAL_BIT,
-) -> TimedStream:
-    """Signed-message stream produced by the sender machine run over the
-    merged payload and acknowledgement streams, timer initially disabled."""
-    start = ((initial_bit, ()), -1)
-    delta = attach_timer(make_sender_delta(timeout))
-    return machine_stream(start, delta, merge_timed(inputs, acks))
-
-
 def medium_delta(state: OracleCursor, payload):
     """Consume one oracle bit per message: pass emits the message unchanged,
     drop emits nothing.  Ticks never reach this delta (time insensitivity is
     added by lift_timed)."""
     bit, rest = state.next_bit()
     return rest, ((payload,) if bit else ())
-
-
-def medium_component(oracle: OracleSpec, inputs: TimedStream) -> TimedStream:
-    return machine_stream(oracle.cursor(), lift_timed(medium_delta), inputs)
 
 
 def receiver_delta(expected: bool, message):
@@ -230,14 +215,6 @@ def receiver_delta_tagged(expected: bool, message):
     new_expected, acks, delivered = receiver_delta(expected, message)
     outputs = tuple(FromA(b) for b in acks) + tuple(FromB(p) for p in delivered)
     return new_expected, outputs
-
-
-def receiver_component(
-    inputs: TimedStream, *, initial_bit: bool = INITIAL_BIT
-) -> Tuple[TimedStream, TimedStream]:
-    """(acknowledgement stream, delivered payload stream)."""
-    merged = machine_stream(initial_bit, lift_timed(receiver_delta_tagged), inputs)
-    return demux_timed(merged)
 
 
 def build_abp_network(
@@ -285,38 +262,3 @@ def build_abp_network(
     )
     net.initialize("am", [Tick])
     return net
-
-
-def abp_compose(
-    oracles: Tuple[OracleSpec, OracleSpec],
-    inputs: TimedStream,
-    *,
-    timeout: int = RESEND_TIMEOUT,
-    sender_bit: bool = INITIAL_BIT,
-    receiver_bit: bool = INITIAL_BIT,
-) -> TimedStream:
-    """Delivered-payload stream of the composed protocol.  Production is
-    demand driven: each observation runs a fresh network engine slot by
-    slot for as long as the input stream provides slots."""
-    from .runtime import NetworkEngine
-    from .streams import Msg
-
-    data_oracle, ack_oracle = oracles
-
-    def produce():
-        net = build_abp_network(
-            data_oracle,
-            ack_oracle,
-            timeout=timeout,
-            sender_bit=sender_bit,
-            receiver_bit=receiver_bit,
-        )
-        engine = NetworkEngine(net, {"input": inputs})
-        slot = 0
-        while engine.advance_slot():
-            for payload in engine.history["out"][slot]:
-                yield Msg(payload)
-            yield Tick
-            slot += 1
-
-    return TimedStream(produce, horizon=inputs.horizon)

@@ -21,7 +21,7 @@ import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import __version__
-from .abp import OracleExhausted, build_abp_network
+from .abp import OracleExhausted
 from .golden import (
     BUNDLED_SCENARIO_NAMES,
     MACHINES,
@@ -34,7 +34,7 @@ from .golden import (
     load_table_file,
 )
 from .literals import format_value
-from .runtime import DeadlockDetected, InvalidTimerValue, ModelError, run_network
+from .runtime import DeadlockDetected, InvalidTimerValue, ModelError
 from .streams import Msg, Tick, render_items
 from .testkit import (
     CoverageReport,
@@ -45,6 +45,7 @@ from .testkit import (
     generate_scenario,
     instrument,
     path_test,
+    run_scenario,
     scenario_digest,
     trans_test,
 )
@@ -162,23 +163,9 @@ def cmd_simulate(args) -> int:
     else:
         raise UsageError("simulate needs --scenario or --seed")
 
-    for label, oracle in (("data", scenario.data_oracle), ("ack", scenario.ack_oracle)):
-        warning = oracle.fairness_warning()
-        if warning:
-            _warn(f"{label} oracle: {warning}")
-
-    net = build_abp_network(
-        scenario.data_oracle,
-        scenario.ack_oracle,
-        timeout=scenario.timeout,
-        sender_bit=scenario.sender_bit,
-        receiver_bit=scenario.receiver_bit,
-    )
-    try:
-        run = run_network(net, {"input": scenario.input_stream()}, scenario.horizon)
-    except _MODEL_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    run, warnings = run_scenario(scenario)
+    for warning in warnings:
+        _warn(warning)
 
     wires = [
         {"name": wire, "slots": [[_render_payload(p) for p in slot] for slot in run.slots[wire]]}

@@ -171,9 +171,9 @@ def parse_table(doc: Any, source: str = "<table>") -> List[TableCase]:
                            "expectOutputs", "note", "comment"):
                 raise ValueError(f"{source}: case {label!r}: unknown field {key!r}")
         machine = record["machine"]
-        if machine not in MACHINES:
+        if not isinstance(machine, str) or machine not in MACHINES:
             raise ValueError(
-                f"{source}: case {label!r}: unknown machine {machine!r} "
+                f"{source}: case {label!r}: field 'machine': unknown machine {machine!r} "
                 f"(known: {', '.join(sorted(MACHINES))})"
             )
 

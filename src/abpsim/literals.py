@@ -128,6 +128,8 @@ class _Parser:
 
 def parse_value(text: str) -> Any:
     """Parse one literal; trailing tokens are an error."""
+    if not isinstance(text, str):
+        raise LiteralError(f"expected a literal string, got {text!r}")
     parser = _Parser(_tokenize(text), text)
     value = parser.value()
     if parser.index != len(parser.tokens):

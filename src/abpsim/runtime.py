@@ -3,9 +3,9 @@
 Machines are pure transition functions ``delta(state, input) -> (state,
 outputs)`` with a finite output sequence per step.  The runtime supplies
 everything the hand-written models are executed against: machine execution
-over item streams, lifting untimed machines to tick-aware ones, timer
-attachment, slot-synchronous channel merge/demux, and a deterministic
-per-slot scheduler that runs component networks with feedback wires.
+over input sequences, lifting untimed machines to tick-aware ones, timer
+attachment, slot-synchronous channel merge/demux, and ``run_network``, the
+deterministic per-slot evaluator of component networks with feedback wires.
 
 Timer semantics (fixed here, relied on everywhere else): ``SetTimer n``
 arms a countdown of n ticks; each subsequent tick decrements; the timeout
@@ -16,8 +16,8 @@ the counter.  ``SetTimer -1`` disables the timer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .streams import Msg, Tick, TimedStream
 
@@ -92,20 +92,9 @@ class SetTimer:
     slots: int
 
 
-def exec_machine(start, delta: Delta, inputs: Iterable[Any]) -> Iterator[Any]:
-    """Run a machine over an input sequence, yielding the concatenation of
-    per-step outputs.  Evaluation is demand driven: the outputs for input k
-    are available before input k+1 is consumed, which is what lets feedback
-    compositions make progress.
-    """
-    state = start
-    for item in inputs:
-        state, outputs = delta(state, item)
-        yield from outputs
-
-
 def run_machine(start, delta: Delta, inputs: Iterable[Any]):
-    """Eager variant of exec_machine returning (final state, outputs)."""
+    """Run a machine over an input sequence; (final state, concatenated
+    per-step outputs)."""
     state = start
     collected: List[Any] = []
     for item in inputs:
@@ -169,13 +158,6 @@ def attach_timer(delta: Delta) -> Delta:
         return (state, counter), tuple(emitted)
 
     return timed
-
-
-def machine_stream(start, delta: Delta, inputs: TimedStream) -> TimedStream:
-    """The output stream of a tick-aware machine run over `inputs`.  The
-    machine is restarted from `start` on every observation, so the result
-    is as pure as its input."""
-    return TimedStream(lambda: exec_machine(start, delta, inputs.items()), horizon=inputs.horizon)
 
 
 def _slot_iter(s: TimedStream) -> Iterator[tuple]:
@@ -340,141 +322,120 @@ class NetworkRun:
     slots: Dict[str, List[tuple]]
     horizon: int
 
-    def stream(self, wire: str) -> TimedStream:
-        from .streams import inject_ticks
 
-        return inject_ticks(self.slots[wire])
-
-    def records(self) -> Iterator[Tuple[int, str, tuple]]:
-        """(slot index, wire name, payloads), slots ascending and wires in
-        declaration order within each slot."""
-        for slot in range(self.horizon):
-            for wire in self.wire_order:
-                yield slot, wire, self.slots[wire][slot]
+# A slot step: (state, one payload tuple per input port) -> (state, one
+# payload tuple per output port).
+SlotStep = Callable[[Any, Sequence[tuple]], Tuple[Any, Tuple[tuple, ...]]]
 
 
-class NetworkEngine:
-    """Incremental per-slot evaluator of a NetworkSpec.
+def _slot_step(comp: _Component) -> SlotStep:
+    """Adapt a component's tick-aware delta into a slot step.  The slot's
+    messages (tagged FromA/FromB by port when there are two inputs) and then
+    one tick are fed to the delta; its outputs must hold exactly one tick,
+    last, and with two output ports every payload must be tagged FromA or
+    FromB to pick its port."""
+    delta, name = comp.delta, comp.name
+    tags = (FromA, FromB) if len(comp.inputs) == 2 else (None,)
+    split = len(comp.outputs) == 2
 
-    One call to advance_slot() runs every component for one slot, stepping
-    them in topological order of the initializer-broken wiring graph; a
-    component reading a wire slot that has not been produced yet indicates
-    insufficient feedback delay and raises DeadlockDetected.
-    """
-
-    def __init__(self, spec: NetworkSpec, external: Dict[str, TimedStream]):
-        missing = [w for w in spec.external_wires() if w not in external]
-        if missing:
-            raise ValueError(f"no stream supplied for external wire(s) {missing}")
-        unknown = [w for w in external if w not in spec.external_wires()]
-        if unknown:
-            raise ValueError(f"streams supplied for non-external wire(s) {unknown}")
-
-        self._spec = spec
-        self._order = spec._schedule()
-        self._external = {name: _slot_iter(stream) for name, stream in external.items()}
-        self._states = {comp.name: comp.start for comp in self._order}
-        self.history: Dict[str, List[tuple]] = {w: [] for w in spec.wire_order}
-        self._pending: Dict[str, List[Any]] = {w: [] for w in spec.wire_order}
-        for wire, items in spec._initializers.items():
-            for item in items:
-                self._push(wire, item)
-        self.round = 0
-
-    def _push(self, wire: str, item):
-        if item is Tick:
-            self.history[wire].append(tuple(self._pending[wire]))
-            self._pending[wire].clear()
-        else:
-            self._pending[wire].append(item.payload if isinstance(item, Msg) else item)
-
-    def _read(self, wire: str, index: int) -> tuple:
-        history = self.history[wire]
-        if index >= len(history):
-            raise DeadlockDetected(
-                f"wire {wire!r} has no slot {index} yet; cycle lacks sufficient initial delay"
-            )
-        return history[index]
-
-    def advance_slot(self) -> bool:
-        """Run one slot round. Returns False (without stepping anything)
-        once an external input has no further slot."""
-        external_slots = {}
-        for name, it in self._external.items():
-            try:
-                external_slots[name] = next(it)
-            except StopIteration:
-                return False
-        for name, slot in external_slots.items():
-            self.history[name].append(slot)
-
-        index = self.round
-        for comp in self._order:
-            in_slots = [self._read(wire, index) for wire in comp.inputs]
-            out_slots = self._step_component(comp, in_slots)
-            for wire, slot in zip(comp.outputs, out_slots):
-                for payload in slot:
-                    self._push(wire, Msg(payload))
-                self._push(wire, Tick)
-        self.round += 1
-        return True
-
-    def _step_component(self, comp: _Component, in_slots: List[tuple]) -> List[tuple]:
-        if len(comp.inputs) == 1:
-            items = [Msg(p) for p in in_slots[0]]
-        else:
-            items = [Msg(FromA(p)) for p in in_slots[0]]
-            items += [Msg(FromB(p)) for p in in_slots[1]]
-        items.append(Tick)
-
-        state = self._states[comp.name]
-        produced: List[Any] = []
-        for item in items:
-            state, outputs = comp.delta(state, item)
-            produced.extend(outputs)
-        self._states[comp.name] = state
-
+    def tick_error(produced):
         ticks = sum(1 for item in produced if item is Tick)
-        if ticks != 1 or produced[-1] is not Tick:
-            raise ModelError(
-                f"component {comp.name!r} emitted {ticks} tick(s) in one slot; "
-                "expected exactly one, last"
-            )
-        payloads = [item.payload for item in produced[:-1]]
+        return ModelError(
+            f"component {name!r} emitted {ticks} tick(s) in one slot; expected exactly one, last"
+        )
 
-        if len(comp.outputs) == 1:
-            return [tuple(payloads)]
-        routed: List[List[Any]] = [[], []]
+    def step(state, in_slots):
+        produced: List[Any] = []
+        for tag, slot in zip(tags, in_slots):
+            for payload in slot:
+                state, outputs = delta(state, Msg(tag(payload) if tag else payload))
+                produced += outputs
+        state, outputs = delta(state, Tick)
+        produced += outputs
+        if not produced or produced[-1] is not Tick:
+            raise tick_error(produced)
+        payloads = []
+        for item in produced[:-1]:
+            if item is Tick:
+                raise tick_error(produced)
+            payloads.append(item.payload)
+        if not split:
+            return state, (tuple(payloads),)
+        first, second = [], []
         for payload in payloads:
             if isinstance(payload, FromA):
-                routed[0].append(payload.payload)
+                first.append(payload.payload)
             elif isinstance(payload, FromB):
-                routed[1].append(payload.payload)
+                second.append(payload.payload)
             else:
                 raise ModelError(
-                    f"component {comp.name!r} has two output ports but emitted "
+                    f"component {name!r} has two output ports but emitted "
                     f"untagged payload {payload!r}"
                 )
-        return [tuple(routed[0]), tuple(routed[1])]
+        return state, (tuple(first), tuple(second))
 
-    def run_snapshot(self, horizon: int) -> NetworkRun:
-        slots = {}
-        for wire in self._spec.wire_order:
-            recorded = self.history[wire]
-            if len(recorded) < horizon:
-                raise ModelError(f"wire {wire!r} has only {len(recorded)} of {horizon} slots")
-            slots[wire] = list(recorded[:horizon])
-        return NetworkRun(self._spec.wire_order, slots, horizon)
+    return step
 
 
 def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int) -> NetworkRun:
     """Evaluate the network over the first `slots` slots and record every
     wire's history.  Identical spec, inputs and slot count give identical
-    histories."""
-    engine = NetworkEngine(spec, external)
-    for _ in range(slots):
-        if not engine.advance_slot():
-            raise ModelError(
-                f"external input ended after {engine.round} slots, {slots} requested"
-            )
-    return engine.run_snapshot(slots)
+    histories.
+
+    Each slot every component takes one step, in topological order of the
+    initializer-broken wiring graph.  An initializer's ticks pre-fill its
+    wire's first slots; messages after its last tick go in front of the
+    producer's first slot.
+    """
+    missing = [w for w in spec.external_wires() if w not in external]
+    if missing:
+        raise ValueError(f"no stream supplied for external wire(s) {missing}")
+    unknown = [w for w in external if w not in spec.external_wires()]
+    if unknown:
+        raise ValueError(f"streams supplied for non-external wire(s) {unknown}")
+
+    order = spec._schedule()
+    history: Dict[str, List[tuple]] = {w: [] for w in spec.wire_order}
+    lead: Dict[str, tuple] = {}
+    for wire, items in spec._initializers.items():
+        current: List[Any] = []
+        for item in items:
+            if item is Tick:
+                history[wire].append(tuple(current))
+                current = []
+            else:
+                current.append(item.payload if isinstance(item, Msg) else item)
+        if current and wire in spec._producers:
+            lead[wire] = tuple(current)
+
+    feeds = [(history[name], _slot_iter(stream)) for name, stream in external.items()]
+    plan = [(comp, _slot_step(comp), [history[w] for w in comp.inputs],
+             [history[w] for w in comp.outputs]) for comp in order]
+    states = [comp.start for comp in order]
+    for index in range(slots):
+        for wire_history, feed in feeds:
+            try:
+                wire_history.append(next(feed))
+            except StopIteration:
+                raise ModelError(
+                    f"external input ended after {index} slots, {slots} requested"
+                ) from None
+        for position, (comp, step, reads, writes) in enumerate(plan):
+            try:
+                in_slots = [wire_history[index] for wire_history in reads]
+            except IndexError:
+                wire = next(w for w, h in zip(comp.inputs, reads) if len(h) <= index)
+                raise DeadlockDetected(
+                    f"wire {wire!r} has no slot {index} yet; cycle lacks sufficient initial delay"
+                ) from None
+            states[position], out_slots = step(states[position], in_slots)
+            for wire_history, slot in zip(writes, out_slots):
+                wire_history.append(slot)
+            if lead:
+                for wire, wire_history in zip(comp.outputs, writes):
+                    if wire in lead:
+                        wire_history[-1] = lead.pop(wire) + wire_history[-1]
+
+    for wire_history in history.values():
+        del wire_history[slots:]
+    return NetworkRun(spec.wire_order, history, slots)

@@ -19,10 +19,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 
-class EmptyStreamError(Exception):
-    """Head or tail was taken from an empty sequence."""
-
-
 class _Tick:
     """The clock-advance pseudo-message. A single shared instance, ``Tick``."""
 
@@ -83,35 +79,6 @@ class TimedStream:
     def __repr__(self):
         h = "unbounded" if self.horizon is None else f"horizon={self.horizon}"
         return f"<TimedStream {h}>"
-
-
-def empty() -> tuple:
-    """The empty untimed sequence."""
-    return ()
-
-
-def head_of(s):
-    if len(s) == 0:
-        raise EmptyStreamError("head of empty sequence")
-    return s[0]
-
-
-def tail_of(s):
-    if len(s) == 0:
-        raise EmptyStreamError("tail of empty sequence")
-    return tuple(s[1:])
-
-
-def length_of(s) -> int:
-    """Length of a finite sequence. Producers without a declared horizon
-    have no computable length; materialize a bounded view first."""
-    if isinstance(s, TimedStream):
-        raise TypeError("length is defined on finite sequences, not stream producers")
-    return len(s)
-
-
-def concat(s1, s2) -> tuple:
-    return tuple(s1) + tuple(s2)
 
 
 def concat_streams(s1: TimedStream, s2: TimedStream) -> TimedStream:

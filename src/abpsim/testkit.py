@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .abp import RESEND_TIMEOUT, OracleSpec, build_abp_network
-from .runtime import Delta, run_network
+from .runtime import Delta, NetworkRun, run_network
 from .streams import TimedStream, inject_ticks
 
 FULL = "full"
@@ -572,15 +572,14 @@ class IdentityResult:
         return self.passed
 
 
-def check_identity(scenario: ScenarioSpec) -> IdentityResult:
-    """Run the composed protocol on a scenario and compare untimed output
-    against untimed input."""
+def run_scenario(scenario: ScenarioSpec) -> Tuple[NetworkRun, Tuple[str, ...]]:
+    """Run the composed protocol over the scenario's horizon.  Returns the
+    recorded wires and the fairness warnings of the scenario's oracles."""
     warnings = []
     for label, oracle in (("data", scenario.data_oracle), ("ack", scenario.ack_oracle)):
         warning = oracle.fairness_warning()
         if warning:
             warnings.append(f"{label} oracle: {warning}")
-
     net = build_abp_network(
         scenario.data_oracle,
         scenario.ack_oracle,
@@ -589,6 +588,13 @@ def check_identity(scenario: ScenarioSpec) -> IdentityResult:
         receiver_bit=scenario.receiver_bit,
     )
     run = run_network(net, {"input": scenario.input_stream()}, scenario.horizon)
+    return run, tuple(warnings)
+
+
+def check_identity(scenario: ScenarioSpec) -> IdentityResult:
+    """Run the composed protocol on a scenario and compare untimed output
+    against untimed input."""
+    run, warnings = run_scenario(scenario)
     expected = scenario.payloads()
     actual = tuple(p for slot in run.slots["out"] for p in slot)
 
@@ -612,5 +618,5 @@ def check_identity(scenario: ScenarioSpec) -> IdentityResult:
         actual=actual,
         divergence=divergence,
         wires=wires,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )

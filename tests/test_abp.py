@@ -3,31 +3,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abpsim import (
+    INITIAL_BIT,
     FromA,
     FromB,
+    IdentityStatus,
     ModelError,
     MsgI,
     MsgO,
+    NetworkSpec,
     OracleCursor,
     OracleExhausted,
     OracleSpec,
+    ScenarioSpec,
     SetTimer,
     Tick,
     TimeoutEvent,
-    abp_compose,
     build_abp_network,
+    check_identity,
     inject_ticks,
     lift_timed,
     make_sender_delta,
-    medium_component,
     medium_delta,
-    receiver_component,
     receiver_delta,
     receiver_delta_tagged,
     run_machine,
+    run_network,
+    run_scenario,
     sender_delta,
-    take_slots,
-    untime,
 )
 
 payload = st.integers(0, 9)
@@ -207,17 +209,23 @@ def test_medium_ticks_do_not_consume_oracle_bits():
     assert outputs == (Tick, Tick, Tick)
 
 
+def run_alone(start, delta, slots, outputs=("out",)):
+    """Run one component over a one-component network fed `slots`."""
+    net = NetworkSpec()
+    net.add_machine("machine", start, delta, inputs=["in"], outputs=list(outputs))
+    return run_network(net, {"in": inject_ticks(slots)}, len(slots))
+
+
 def test_medium_component_filters_by_the_oracle():
     oracle = OracleSpec.explicit([True, False, True])
-    out = medium_component(oracle, inject_ticks([(1,), (2, 3)]))
-    assert take_slots(out, 2) == ((1,), (3,))
+    run = run_alone(oracle.cursor(), lift_timed(medium_delta), [(1,), (2, 3)])
+    assert run.slots["out"] == [(1,), (3,)]
 
 
 def test_medium_exhausts_an_explicit_oracle():
     oracle = OracleSpec.explicit([True])
-    out = medium_component(oracle, inject_ticks([(1, 2)]))
     with pytest.raises(OracleExhausted):
-        take_slots(out, 1)
+        run_alone(oracle.cursor(), lift_timed(medium_delta), [(1, 2)])
 
 
 # ---------------------------------------------------------------- receiver
@@ -239,9 +247,10 @@ def test_receiver_tagged_orders_acks_before_deliveries():
 
 
 def test_receiver_component_splits_acks_from_deliveries():
-    acks, out = receiver_component(inject_ticks([((True, 5),), ((True, 6),)]))
-    assert take_slots(acks, 2) == ((True,), (True,))
-    assert take_slots(out, 2) == ((5,), ())  # second message is a stale bit
+    run = run_alone(INITIAL_BIT, lift_timed(receiver_delta_tagged),
+                    [((True, 5),), ((True, 6),)], outputs=("acks", "out"))
+    assert run.slots["acks"] == [(True,), (True,)]
+    assert run.slots["out"] == [(5,), ()]  # second message is a stale bit
 
 
 # ------------------------------------------------------------- composition
@@ -253,18 +262,32 @@ def test_network_shape():
     assert set(net.wire_order) == {"input", "am", "ds", "dm", "as", "out"}
 
 
+def perfect_media():
+    return OracleSpec.cyclic([True]), OracleSpec.cyclic([True])
+
+
+def compose(payload_slots, horizon, oracles):
+    data_oracle, ack_oracle = oracles
+    return check_identity(ScenarioSpec(name="compose", payload_slots=payload_slots,
+                                       horizon=horizon, data_oracle=data_oracle,
+                                       ack_oracle=ack_oracle))
+
+
 def test_compose_is_the_identity_with_perfect_media():
-    oracles = (OracleSpec.cyclic([True]), OracleSpec.cyclic([True]))
-    out = abp_compose(oracles, inject_ticks([(1,), (), (2, 3), (), ()]))
-    assert untime(out, 5) == (1, 2, 3)
+    result = compose(((1,), (), (2, 3)), 5, perfect_media())
+    assert result.status is IdentityStatus.PASS
+    assert result.actual == (1, 2, 3)
 
 
 def test_compose_observation_is_repeatable():
-    oracles = (OracleSpec.cyclic([False, True]), OracleSpec.cyclic([True]))
-    out = abp_compose(oracles, inject_ticks([(1,)] + [()] * 7))
-    assert untime(out, 8) == (1,)
-    assert untime(out, 8) == (1,)
-    assert out.horizon == 8
+    scenario = ScenarioSpec(name="repeat", payload_slots=((1,),), horizon=8,
+                            data_oracle=OracleSpec.cyclic([False, True]),
+                            ack_oracle=OracleSpec.cyclic([True]))
+    first, _ = run_scenario(scenario)
+    second, _ = run_scenario(scenario)
+    assert first.slots == second.slots
+    assert first.horizon == 8
+    assert [p for slot in first.slots["out"] for p in slot] == [1]
 
 
 @settings(max_examples=30, deadline=None)
@@ -272,9 +295,9 @@ def test_compose_observation_is_repeatable():
 def test_compose_identity_property_with_perfect_media(slots):
     sent = tuple(p for slot in slots for p in slot)
     horizon = len(slots) + 2 * len(sent) + 1
-    padded = list(slots) + [()] * (horizon - len(slots))
-    oracles = (OracleSpec.cyclic([True]), OracleSpec.cyclic([True]))
-    assert untime(abp_compose(oracles, inject_ticks(padded)), horizon) == sent
+    result = compose(tuple(map(tuple, slots)), horizon, perfect_media())
+    assert result.status is IdentityStatus.PASS
+    assert result.actual == sent
 
 
 @settings(max_examples=20, deadline=None)
@@ -284,6 +307,5 @@ def test_compose_identity_property_with_lossy_media(payloads, seed):
     # Generous horizon: ~24 resend attempts per payload at 0.49 end-to-end
     # pass rate leaves a residual failure probability around 1e-7.
     horizon = 1 + len(payloads) * 120
-    slots = [(p,) for p in payloads] + [()] * (horizon - len(payloads))
-    delivered = untime(abp_compose(oracles, inject_ticks(slots)), horizon)
-    assert delivered == tuple(payloads)
+    result = compose(tuple((p,) for p in payloads), horizon, oracles)
+    assert result.actual == tuple(payloads)

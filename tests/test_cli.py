@@ -83,6 +83,29 @@ def test_simulate_warns_about_unfair_oracles(tmp_path, capsys):
     assert "warning" in err and "no pass bits" in err
 
 
+@pytest.mark.parametrize("oracle", [
+    {"kind": "bernoulli", "pass_probability": "x", "seed": 1},
+    {"kind": "bernoulli", "pass_probability": True, "seed": 1},
+    {"kind": "bernoulli", "pass_probability": 0.5, "seed": 1.7},
+    {"kind": "bernoulli", "pass_probability": 0.5, "seed": "1"},
+    {"kind": "explicit", "bits": 5},
+    {"kind": "cyclic", "bits": ["no"]},
+    {"kind": "explicit", "bits": [1, 0]},
+], ids=["probability-string", "probability-bool", "seed-float", "seed-string",
+        "bits-int", "bits-strings", "bits-ints"])
+def test_simulate_rejects_malformed_oracle_fields(tmp_path, capsys, oracle):
+    doc = {
+        "name": "odd", "payload_slots": [[1]], "horizon": 4,
+        "data_oracle": oracle,
+        "ack_oracle": {"kind": "cyclic", "bits": [True]},
+    }
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cmd(capsys, "simulate", "--scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "data_oracle" in err
+
+
 # -------------------------------------------------------------------- test
 
 
@@ -154,6 +177,19 @@ def test_test_rejects_unparseable_table_files(tmp_path, capsys):
     assert run_cmd(capsys, "test", "--tables", str(path))[0] == 2
     path.write_text(json.dumps([{"id": "x", "machine": "router"}]))
     assert run_cmd(capsys, "test", "--tables", str(path))[0] == 2
+
+
+@pytest.mark.parametrize("field,value", [("start", 5), ("machine", ["x"])],
+                         ids=["start-int", "machine-list"])
+def test_test_rejects_malformed_table_fields(tmp_path, capsys, field, value):
+    record = {"id": "bad", "machine": "sender", "start": "[true,[]]", "input": "3",
+              "expectState": "[true,[3]]", "expectOutputs": "[]"}
+    record[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([record]))
+    code, _, err = run_cmd(capsys, "test", "--tables", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and f"field '{field}'" in err
 
 
 def test_test_rejects_negative_count(capsys):

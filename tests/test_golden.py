@@ -79,6 +79,10 @@ def test_parse_table_keeps_notes():
     ([sender_record(machine="router")], "unknown machine"),
     ([sender_record(input="flurb")], "field 'input'"),
     ([sender_record(expectOutputs="3")], "sequence literal"),
+    ([sender_record(start=5)], "case 's_demo': field 'start'"),
+    ([sender_record(expectOutputs=["MsgO(true,3)"])], "case 's_demo': field 'expectOutputs'"),
+    ([sender_record(machine=["sender"])], "case 's_demo': field 'machine'"),
+    ([sender_record(machine={"name": "sender"})], "case 's_demo': field 'machine'"),
 ])
 def test_parse_table_rejects_malformed_documents(doc, fragment):
     with pytest.raises(ValueError) as err:

@@ -17,10 +17,8 @@ from abpsim import (
     TimeoutEvent,
     attach_timer,
     demux_timed,
-    exec_machine,
     inject_ticks,
     lift_timed,
-    machine_stream,
     merge_timed,
     run_machine,
     run_network,
@@ -43,22 +41,6 @@ def test_run_machine_collects_outputs_and_final_state():
     state, outputs = run_machine(0, counting, "abc")
     assert state == 3
     assert outputs == (0, 1, 2)
-
-
-def test_exec_machine_is_demand_driven():
-    pulled = []
-
-    def inputs():
-        for value in (1, 2, 3):
-            pulled.append(value)
-            yield value
-
-    gen = exec_machine(None, echo, inputs())
-    assert next(gen) == 1
-    # Output 1 is available before input 2 is consumed; that ordering is
-    # what makes feedback compositions productive.
-    assert pulled == [1]
-    assert list(gen) == [2, 3]
 
 
 def test_lift_timed_passes_ticks_through_untouched():
@@ -184,12 +166,6 @@ def test_demux_rejects_untagged_payloads():
         take_items(stream, 1)
 
 
-def test_machine_stream_restarts_per_observation():
-    s = machine_stream(0, lift_timed(counting), inject_ticks([(9,), (9, 9)]))
-    assert take_slots(s, 2) == ((0,), (1, 2))
-    assert take_slots(s, 2) == ((0,), (1, 2))
-
-
 def forwarder():
     return lift_timed(lambda state, p: (state, (p,)))
 
@@ -205,7 +181,6 @@ def test_run_network_pipeline_records_every_wire():
     assert run.slots["b"] == [(2,), (), (5,)]
     assert run.slots["c"] == [(2, 2), (), (5, 5)]
     assert run.wire_order == ("a", "b", "c")
-    assert list(run.records())[0] == (0, "a", (1,))
 
 
 def test_run_network_needs_enough_external_slots():
@@ -233,6 +208,30 @@ def test_network_cycle_with_tick_initializer_runs():
     # pushes the seeded value through both forwarders: it circulates forever.
     assert run.slots["w1"] == [(1,), (1,), (1,)]
     assert run.slots["w2"] == [(1,), (1,), (1,)]
+
+
+def test_initializer_messages_after_the_last_tick_lead_the_first_produced_slot():
+    net = NetworkSpec()
+    net.add_machine("inc", None, lift_timed(lambda s, p: (s, (p + 1,))),
+                    inputs=["a"], outputs=["b"])
+    net.add_machine("fwd", None, forwarder(), inputs=["b"], outputs=["c"])
+    net.initialize("b", [Msg(7), Tick, Msg(8), Msg(9)])
+    run = run_network(net, {"a": inject_ticks([(1,), (2,), ()])}, 3)
+    # The initializer's tick fills slot 0 of `b`; its trailing messages go in
+    # front of what `inc` produces for its first slot, which lands in slot 1.
+    assert run.slots["b"] == [(7,), (8, 9, 2), (3,)]
+    assert run.slots["c"] == [(7,), (8, 9, 2), (3,)]
+
+
+def test_initializer_messages_without_any_tick_reach_readers_in_slot_0():
+    net = NetworkSpec()
+    net.add_machine("inc", None, lift_timed(lambda s, p: (s, (p + 1,))),
+                    inputs=["a"], outputs=["b"])
+    net.add_machine("fwd", None, forwarder(), inputs=["b"], outputs=["c"])
+    net.initialize("b", [Msg(5)])
+    run = run_network(net, {"a": inject_ticks([(1,), ()])}, 2)
+    assert run.slots["b"] == [(5, 2), ()]
+    assert run.slots["c"] == [(5, 2), ()]
 
 
 def test_component_must_close_each_slot_with_one_tick():
@@ -283,11 +282,3 @@ def test_network_rejects_missing_or_unknown_external_streams():
         run_network(net, {}, 1)
     with pytest.raises(ValueError):
         run_network(net, {"a": inject_ticks([()]), "b": inject_ticks([()])}, 1)
-
-
-def test_run_snapshot_streams_replay_wire_history():
-    net = NetworkSpec()
-    net.add_machine("inc", None, lift_timed(lambda s, p: (s, (p + 1,))),
-                    inputs=["a"], outputs=["b"])
-    run = run_network(net, {"a": inject_ticks([(1,), (2,)])}, 2)
-    assert take_slots(run.stream("b"), 2) == ((2,), (3,))

@@ -5,20 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from abpsim import (
-    EmptyStreamError,
     Msg,
     Tick,
     TimedStream,
     all_ticks,
-    concat,
     concat_streams,
-    empty,
     filter_set,
-    head_of,
     inject_ticks,
-    length_of,
     render_items,
-    tail_of,
     take_items,
     take_slots,
     untime,
@@ -73,27 +67,6 @@ def test_take_slots_rejects_a_producer_ending_mid_slot():
     ragged = TimedStream(lambda: iter([Msg(1)]))
     with pytest.raises(ValueError):
         take_slots(ragged, 1)
-
-
-def test_head_tail_and_length():
-    assert empty() == ()
-    assert head_of((1, 2)) == 1
-    assert tail_of((1, 2)) == (2,)
-    assert length_of((1, 2, 3)) == 3
-    with pytest.raises(EmptyStreamError):
-        head_of(())
-    with pytest.raises(EmptyStreamError):
-        tail_of(())
-
-
-def test_length_is_undefined_on_stream_producers():
-    with pytest.raises(TypeError):
-        length_of(all_ticks())
-
-
-def test_concat_joins_finite_sequences():
-    assert concat((1,), (2, 3)) == (1, 2, 3)
-    assert concat((), ()) == ()
 
 
 def test_concat_streams_chains_and_sums_horizons():

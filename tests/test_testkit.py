@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -25,10 +27,11 @@ from abpsim import (
     generate_scenario,
     instrument,
     path_test,
+    run_scenario,
     scenario_digest,
     trans_test,
 )
-from abpsim.golden import SENDER_CATALOG, bundled_scenario
+from abpsim.golden import BUNDLED_SCENARIO_NAMES, SENDER_CATALOG, bundled_scenario
 
 
 def stepper(state, item):
@@ -440,3 +443,23 @@ def test_identity_carries_fairness_warnings():
     # oracle is flagged rather than silently tolerated.
     assert result.status is IdentityStatus.PASS
     assert any("ack oracle" in w for w in result.warnings)
+
+
+# sha256 of the canonical JSON of every wire history of the 100 criterion-3
+# scenarios drawn from random.Random("suite:0") plus the bundled scenarios,
+# as recorded by the per-slot message/tick engine this runtime replaced.  A
+# change to the network runtime must reproduce these histories byte for byte.
+PINNED_WIRES_SHA256 = "c251bdca68d8ce90911b7278d94978029138cb3231d8c29770ee8944f173f9a9"
+
+
+def test_run_scenario_reproduces_the_pinned_wire_histories():
+    rng = random.Random("suite:0")
+    scenarios = [generate_scenario(rng.randrange(2**32), (10, 10_000, 0.5))
+                 for _ in range(100)]
+    scenarios += [bundled_scenario(name) for name in BUNDLED_SCENARIO_NAMES]
+    doc = []
+    for scenario in scenarios:
+        run, _ = run_scenario(scenario)
+        doc.append([scenario.name, [[wire, run.slots[wire]] for wire in run.wire_order]])
+    canonical = json.dumps(doc, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == PINNED_WIRES_SHA256
