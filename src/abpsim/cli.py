@@ -35,7 +35,6 @@ from .golden import (
 )
 from .literals import format_value
 from .runtime import DeadlockDetected, InvalidTimerValue, ModelError
-from .streams import Msg, Tick, render_items
 from .testkit import (
     CoverageReport,
     IdentityStatus,
@@ -72,11 +71,18 @@ def _render_payload(payload) -> str:
 
 
 def _wire_text(slots) -> str:
-    items = []
+    parts = []
     for slot in slots:
-        items.extend(Msg(p) for p in slot)
-        items.append(Tick)
-    return render_items(items, fmt=_render_payload)
+        parts.extend(map(_render_payload, slot))
+        parts.append("~")
+    return " ".join(parts)
+
+
+def _wires_json(wires) -> List[dict]:
+    """The JSON `wires` list for (name, slots) pairs: each slot a list of
+    payload literals."""
+    return [{"name": wire, "slots": [[_render_payload(p) for p in slot] for slot in slots]}
+            for wire, slots in wires]
 
 
 def _emit(text: str, out_path: Optional[str]):
@@ -167,11 +173,8 @@ def cmd_simulate(args) -> int:
     for warning in warnings:
         _warn(warning)
 
-    wires = [
-        {"name": wire, "slots": [[_render_payload(p) for p in slot] for slot in run.slots[wire]]}
-        for wire in run.wire_order
-    ]
     if args.format == "json":
+        wires = _wires_json((wire, run.slots[wire]) for wire in run.wire_order)
         doc = {"meta": _meta(scenario), "wires": wires, "verdicts": [], "coverage": None}
         _emit(_json_text(doc), args.out)
     else:
@@ -276,10 +279,7 @@ def _identity_row(scenario: ScenarioSpec) -> dict:
         detail += "; fairness warning: " + "; ".join(result.warnings)
     row["detail"] = detail
     if result.status is IdentityStatus.FAIL and result.wires is not None:
-        row["wires"] = [
-            {"name": wire, "slots": [[_render_payload(p) for p in slot] for slot in slots]}
-            for wire, slots in result.wires.items()
-        ]
+        row["wires"] = _wires_json(result.wires.items())
     return row
 
 

@@ -10,8 +10,8 @@ MsgO.  Machine states fit the same grammar: a sender state is written
 
 parse_value and format_value are inverse on grammar-representable values.
 Values outside the grammar (closures, foreign objects) format as Python
-reprs when ``strict`` is off; strict mode raises instead, which is what the
-deterministic trace emitter uses.
+reprs when ``strict`` is off, which is how the CLI renders every trace and
+report; strict mode (the default) raises instead.
 """
 
 from __future__ import annotations

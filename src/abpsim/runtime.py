@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .streams import Msg, Tick, TimedStream
+from .streams import Msg, Tick, TimedStream, _split_slots
 
 # A transition function: (state, input) -> (new state, output sequence).
 Delta = Callable[[Any, Any], Tuple[Any, Sequence[Any]]]
@@ -161,15 +161,30 @@ def attach_timer(delta: Delta) -> Delta:
 
 
 def _slot_iter(s: TimedStream) -> Iterator[tuple]:
-    current: List[Any] = []
-    for item in s.items():
-        if item is Tick:
-            yield tuple(current)
-            current = []
-        else:
-            current.append(item.payload)
-    if current:
+    rest: List[Any] = []
+    yield from _split_slots(s.items(), rest)
+    if rest:
         raise ModelError("timed stream ended inside a slot (trailing messages without a tick)")
+
+
+def _merge_slot(slot_a: tuple, slot_b: tuple) -> tuple:
+    """One slot of two merged channels: a's payloads tagged FromA, then b's
+    tagged FromB."""
+    return tuple(map(FromA, slot_a)) + tuple(map(FromB, slot_b))
+
+
+def _demux_slot(payloads: Iterable[Any], culprit: str) -> Tuple[tuple, tuple]:
+    """One slot split back into two channels: FromA payloads to the first,
+    FromB to the second; an untagged payload raises ModelError."""
+    first, second = [], []
+    for payload in payloads:
+        if isinstance(payload, FromA):
+            first.append(payload.payload)
+        elif isinstance(payload, FromB):
+            second.append(payload.payload)
+        else:
+            raise ModelError(f"{culprit} untagged payload {payload!r}")
+    return tuple(first), tuple(second)
 
 
 def merge_timed(a: TimedStream, b: TimedStream) -> TimedStream:
@@ -179,10 +194,7 @@ def merge_timed(a: TimedStream, b: TimedStream) -> TimedStream:
 
     def produce():
         for slot_a, slot_b in zip(_slot_iter(a), _slot_iter(b)):
-            for payload in slot_a:
-                yield Msg(FromA(payload))
-            for payload in slot_b:
-                yield Msg(FromB(payload))
+            yield from map(Msg, _merge_slot(slot_a, slot_b))
             yield Tick
 
     horizons = [h for h in (a.horizon, b.horizon) if h is not None]
@@ -191,24 +203,19 @@ def merge_timed(a: TimedStream, b: TimedStream) -> TimedStream:
 
 
 def demux_timed(s: TimedStream) -> Tuple[TimedStream, TimedStream]:
-    """Split a merged stream back into its two channels.  FromA payloads go
-    to the first output, FromB to the second; every tick goes to both."""
+    """Split a merged stream back into its two channels, slot by slot.
+    FromA payloads go to the first output, FromB to the second; every tick
+    goes to both."""
 
-    def route(tag):
+    def route(port):
         def produce():
-            for item in s.items():
-                if item is Tick:
-                    yield Tick
-                elif isinstance(item.payload, tag):
-                    yield Msg(item.payload.payload)
-                elif isinstance(item.payload, (FromA, FromB)):
-                    continue
-                else:
-                    raise ModelError(f"demux saw untagged payload {item.payload!r}")
+            for slot in _slot_iter(s):
+                yield from map(Msg, _demux_slot(slot, "demux saw")[port])
+                yield Tick
 
         return TimedStream(produce, horizon=s.horizon)
 
-    return route(FromA), route(FromB)
+    return route(0), route(1)
 
 
 @dataclass
@@ -230,15 +237,17 @@ class NetworkSpec:
     cycle by at least one slot.
 
     Machines must be tick-aware (e.g. built with lift_timed/attach_timer).
-    A machine with two input ports sees its inputs merged FromA/FromB in
-    port order; a machine with two output ports must emit FromA/FromB
+    Two-port components follow the merge/demux slot rule: a machine with
+    two input ports sees each slot of its inputs merged FromA/FromB in port
+    order, and a machine with two output ports must emit FromA/FromB
     payloads, which are routed to the first and second port respectively.
     """
 
     def __init__(self):
         self._components: Dict[str, _Component] = {}
         self._producers: Dict[str, str] = {}
-        self._initializers: Dict[str, tuple] = {}
+        # Per initialized wire: (pre-filled slots, messages after the last tick).
+        self._initializers: Dict[str, Tuple[Tuple[tuple, ...], tuple]] = {}
         self._wire_order: List[str] = []
 
     def add_machine(self, name: str, start, delta: Delta, *, inputs: Sequence[str], outputs: Sequence[str]):
@@ -258,11 +267,19 @@ class NetworkSpec:
         return self
 
     def initialize(self, wire: str, items: Sequence[Any]):
-        """Prepend items (messages and ticks) to a wire, ahead of whatever
-        its producer emits.  An initializer containing a tick delays every
-        reader of the wire by one slot per tick."""
+        """Make `items` (Msg and Tick only) a prefix of the wire, ahead of
+        whatever it is fed or its producer emits.  Each tick pre-fills one
+        whole slot, delaying every reader of the wire by one slot; the
+        messages after the last tick go in front of the wire's first fed or
+        produced slot."""
+        items = tuple(items)
+        for item in items:
+            if item is not Tick and not isinstance(item, Msg):
+                raise ValueError(f"initializer of wire {wire!r} holds {item!r}, not Msg or Tick")
+        rest: List[Any] = []
+        slots = tuple(_split_slots(items, rest))
         self._note_wire(wire)
-        self._initializers[wire] = tuple(items)
+        self._initializers[wire] = (slots, tuple(rest))
         return self
 
     def _note_wire(self, wire: str):
@@ -277,38 +294,25 @@ class NetworkSpec:
         return tuple(w for w in self._wire_order if w not in self._producers)
 
     def _schedule(self) -> List[_Component]:
-        # Edges along wires without a tick-bearing initializer; initialized
-        # wires provide their first slot(s) up front and so do not constrain
-        # the order within a round.
-        def delayed(wire):
-            return any(item is Tick for item in self._initializers.get(wire, ()))
-
-        consumers: Dict[str, List[str]] = {}
-        for comp in self._components.values():
-            for wire in comp.inputs:
-                consumers.setdefault(wire, []).append(comp.name)
-
-        blocking: Dict[str, List[str]] = {name: [] for name in self._components}
-        for wire, producer in self._producers.items():
-            if delayed(wire):
-                continue
-            for consumer in consumers.get(wire, []):
-                blocking[consumer].append(producer)
-
+        # A component steps after the producers of its input wires, except
+        # along wires whose initializer pre-fills slots: those are a slot
+        # ahead and so do not constrain the order within a round.
+        delayed = {wire for wire, (slots, _) in self._initializers.items() if slots}
+        blocking = {
+            comp.name: [self._producers[wire] for wire in comp.inputs
+                        if wire in self._producers and wire not in delayed]
+            for comp in self._components.values()
+        }
         order: List[str] = []
-        placed = set()
-        pending = list(self._components)
-        while pending:
-            progressed = False
-            for name in list(pending):
-                if all(dep in placed for dep in blocking[name]):
+        while len(order) < len(blocking):
+            placed = len(order)
+            for name, deps in blocking.items():
+                if name not in order and all(dep in order for dep in deps):
                     order.append(name)
-                    placed.add(name)
-                    pending.remove(name)
-                    progressed = True
-            if not progressed:
+            if len(order) == placed:
+                pending = sorted(name for name in blocking if name not in order)
                 raise DeadlockDetected(
-                    f"components {sorted(pending)} form a cycle with no tick-bearing initializer"
+                    f"components {pending} form a cycle with no tick-bearing initializer"
                 )
         return [self._components[name] for name in order]
 
@@ -330,13 +334,13 @@ SlotStep = Callable[[Any, Sequence[tuple]], Tuple[Any, Tuple[tuple, ...]]]
 
 def _slot_step(comp: _Component) -> SlotStep:
     """Adapt a component's tick-aware delta into a slot step.  The slot's
-    messages (tagged FromA/FromB by port when there are two inputs) and then
+    messages (merged by `_merge_slot` when there are two inputs) and then
     one tick are fed to the delta; its outputs must hold exactly one tick,
-    last, and with two output ports every payload must be tagged FromA or
-    FromB to pick its port."""
+    last, and with two output ports they are split by `_demux_slot`."""
     delta, name = comp.delta, comp.name
-    tags = (FromA, FromB) if len(comp.inputs) == 2 else (None,)
+    merge = len(comp.inputs) == 2
     split = len(comp.outputs) == 2
+    culprit = f"component {name!r} has two output ports but emitted"
 
     def tick_error(produced):
         ticks = sum(1 for item in produced if item is Tick)
@@ -346,10 +350,9 @@ def _slot_step(comp: _Component) -> SlotStep:
 
     def step(state, in_slots):
         produced: List[Any] = []
-        for tag, slot in zip(tags, in_slots):
-            for payload in slot:
-                state, outputs = delta(state, Msg(tag(payload) if tag else payload))
-                produced += outputs
+        for payload in _merge_slot(*in_slots) if merge else in_slots[0]:
+            state, outputs = delta(state, Msg(payload))
+            produced += outputs
         state, outputs = delta(state, Tick)
         produced += outputs
         if not produced or produced[-1] is not Tick:
@@ -359,20 +362,9 @@ def _slot_step(comp: _Component) -> SlotStep:
             if item is Tick:
                 raise tick_error(produced)
             payloads.append(item.payload)
-        if not split:
-            return state, (tuple(payloads),)
-        first, second = [], []
-        for payload in payloads:
-            if isinstance(payload, FromA):
-                first.append(payload.payload)
-            elif isinstance(payload, FromB):
-                second.append(payload.payload)
-            else:
-                raise ModelError(
-                    f"component {name!r} has two output ports but emitted "
-                    f"untagged payload {payload!r}"
-                )
-        return state, (tuple(first), tuple(second))
+        if split:
+            return state, _demux_slot(payloads, culprit)
+        return state, (tuple(payloads),)
 
     return step
 
@@ -383,9 +375,12 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
     histories.
 
     Each slot every component takes one step, in topological order of the
-    initializer-broken wiring graph.  An initializer's ticks pre-fill its
-    wire's first slots; messages after its last tick go in front of the
-    producer's first slot.
+    initializer-broken wiring graph, after every external wire is fed one
+    slot.  Initializers are wire prefixes (see `NetworkSpec.initialize`).
+    A reader in round i always finds slot i of its wire: external wires are
+    fed first, an undelayed wire's producer steps before its readers, and a
+    delayed wire starts a pre-filled slot ahead.  So the only deadlock is a
+    failed schedule, raised as DeadlockDetected before any delta is called.
     """
     missing = [w for w in spec.external_wires() if w not in external]
     if missing:
@@ -397,19 +392,20 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
     order = spec._schedule()
     history: Dict[str, List[tuple]] = {w: [] for w in spec.wire_order}
     lead: Dict[str, tuple] = {}
-    for wire, items in spec._initializers.items():
-        current: List[Any] = []
-        for item in items:
-            if item is Tick:
-                history[wire].append(tuple(current))
-                current = []
-            else:
-                current.append(item.payload if isinstance(item, Msg) else item)
-        if current and wire in spec._producers:
-            lead[wire] = tuple(current)
+    for wire, (prefilled, rest) in spec._initializers.items():
+        history[wire].extend(prefilled)
+        if rest:
+            lead[wire] = rest
+
+    def land(wires):
+        # Every wire gets its first fed or produced slot in round 0, so
+        # `lead` is empty, and `land` no longer called, from round 1 on.
+        for wire in wires:
+            if wire in lead:
+                history[wire][-1] = lead.pop(wire) + history[wire][-1]
 
     feeds = [(history[name], _slot_iter(stream)) for name, stream in external.items()]
-    plan = [(comp, _slot_step(comp), [history[w] for w in comp.inputs],
+    plan = [(comp.outputs, _slot_step(comp), [history[w] for w in comp.inputs],
              [history[w] for w in comp.outputs]) for comp in order]
     states = [comp.start for comp in order]
     for index in range(slots):
@@ -420,21 +416,16 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
                 raise ModelError(
                     f"external input ended after {index} slots, {slots} requested"
                 ) from None
-        for position, (comp, step, reads, writes) in enumerate(plan):
-            try:
-                in_slots = [wire_history[index] for wire_history in reads]
-            except IndexError:
-                wire = next(w for w, h in zip(comp.inputs, reads) if len(h) <= index)
-                raise DeadlockDetected(
-                    f"wire {wire!r} has no slot {index} yet; cycle lacks sufficient initial delay"
-                ) from None
-            states[position], out_slots = step(states[position], in_slots)
+        if lead:
+            land(external)
+        for position, (outputs, step, reads, writes) in enumerate(plan):
+            states[position], out_slots = step(
+                states[position], [wire_history[index] for wire_history in reads]
+            )
             for wire_history, slot in zip(writes, out_slots):
                 wire_history.append(slot)
             if lead:
-                for wire, wire_history in zip(comp.outputs, writes):
-                    if wire in lead:
-                        wire_history[-1] = lead.pop(wire) + wire_history[-1]
+                land(outputs)
 
     for wire_history in history.values():
         del wire_history[slots:]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, List, Optional
 
 
 class _Tick:
@@ -137,25 +137,28 @@ def take_items(s: TimedStream, n: int) -> tuple:
     return tuple(itertools.islice(s.items(), n))
 
 
+def _split_slots(items: Iterable[TickedItem], rest: List[Any]) -> Iterator[tuple]:
+    """Lazily, one payload tuple per tick-closed slot of `items`; once they
+    run out, the payloads after the last tick are appended to `rest`."""
+    current: List[Any] = []
+    for item in items:
+        if item is Tick:
+            yield tuple(current)
+            current = []
+        else:
+            current.append(item.payload)
+    rest.extend(current)
+
+
 def take_slots(s: TimedStream, k: int) -> tuple:
     """The first `k` slots as payload tuples. Terminates given tick progress;
     raises if the producer ends inside a slot or before `k` ticks."""
     if s.horizon is not None and k > s.horizon:
         raise ValueError(f"requested {k} slots from a stream with horizon {s.horizon}")
-    slots = []
-    current = []
-    it = s.items()
-    while len(slots) < k:
-        try:
-            item = next(it)
-        except StopIteration:
-            raise ValueError(f"stream ended after {len(slots)} slots, {k} requested") from None
-        if item is Tick:
-            slots.append(tuple(current))
-            current = []
-        else:
-            current.append(item.payload)
-    return tuple(slots)
+    slots = tuple(itertools.islice(_split_slots(s.items(), []), k))
+    if len(slots) < k:
+        raise ValueError(f"stream ended after {len(slots)} slots, {k} requested")
+    return slots
 
 
 def untime(s: TimedStream, slots: int) -> tuple:

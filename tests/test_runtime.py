@@ -166,6 +166,15 @@ def test_demux_rejects_untagged_payloads():
         take_items(stream, 1)
 
 
+def test_demux_propagates_mid_slot_stream_ends():
+    ragged = TimedStream(lambda: iter([Msg(FromA(1)), Tick, Msg(FromB(2))]))
+    first, second = demux_timed(ragged)
+    with pytest.raises(ModelError):
+        take_items(first, 3)
+    with pytest.raises(ModelError):
+        take_items(second, 2)
+
+
 def forwarder():
     return lift_timed(lambda state, p: (state, (p,)))
 
@@ -234,6 +243,30 @@ def test_initializer_messages_without_any_tick_reach_readers_in_slot_0():
     assert run.slots["c"] == [(5, 2), ()]
 
 
+@pytest.mark.parametrize("items, fed, expected", [
+    # The tick fills slot 0; the trailing message goes in front of the first fed slot.
+    ([Msg(1), Tick, Msg(2)], [(9,), ()], [(1,), (2, 9)]),
+    ([Msg(5)], [(1,), ()], [(5, 1), ()]),
+])
+def test_initializer_is_a_prefix_of_an_external_wire(items, fed, expected):
+    net = NetworkSpec()
+    net.add_machine("fwd", None, forwarder(), inputs=["a"], outputs=["b"])
+    net.initialize("a", items)
+    run = run_network(net, {"a": inject_ticks(fed)}, 2)
+    assert run.slots["a"] == expected
+    assert run.slots["b"] == expected
+
+
+@pytest.mark.parametrize("item", [7, None, "Tick", (Tick,)])
+def test_initialize_accepts_only_msg_and_tick_items(item):
+    net = NetworkSpec()
+    net.add_machine("fwd", None, forwarder(), inputs=["a"], outputs=["b"])
+    with pytest.raises(ValueError) as caught:
+        net.initialize("b", [item, Tick])
+    assert "'b'" in str(caught.value)
+    assert repr(item) in str(caught.value)
+
+
 def test_component_must_close_each_slot_with_one_tick():
     swallow = lambda state, item: (state, ())
     net = NetworkSpec()
@@ -282,3 +315,55 @@ def test_network_rejects_missing_or_unknown_external_streams():
         run_network(net, {}, 1)
     with pytest.raises(ValueError):
         run_network(net, {"a": inject_ticks([()]), "b": inject_ticks([()])}, 1)
+
+
+def _port_forwarder(calls, n_outputs):
+    # Forwards every message (FromA/FromB-tagged when it has two inputs) to
+    # each of its outputs, and records every call.
+    def delta(state, item):
+        calls.append(item)
+        if item is Tick:
+            return state, (Tick,)
+        if n_outputs == 2:
+            return state, (Msg(FromA(item.payload)), Msg(FromB(item.payload)))
+        return state, (item,)
+
+    return delta
+
+
+@st.composite
+def small_networks(draw):
+    wires = ["w0", "w1", "w2", "w3", "w4", "w5"]
+    unproduced = list(draw(st.permutations(wires)))
+    components = []
+    for index in range(draw(st.integers(1, 3))):
+        count = draw(st.integers(1, 2))
+        outputs, unproduced = unproduced[:count], unproduced[count:]
+        inputs = draw(st.lists(st.sampled_from(wires), min_size=1, max_size=2))
+        components.append((f"c{index}", inputs, outputs))
+    initializers = draw(st.dictionaries(
+        st.sampled_from(wires), st.lists(st.sampled_from([Msg(1), Msg(2), Tick]), max_size=3),
+        max_size=3))
+    return components, initializers
+
+
+@given(small_networks())
+def test_run_network_deadlocks_exactly_when_the_schedule_does(network):
+    components, initializers = network
+    calls = []
+    net = NetworkSpec()
+    for name, inputs, outputs in components:
+        net.add_machine(name, None, _port_forwarder(calls, len(outputs)),
+                        inputs=inputs, outputs=outputs)
+    for wire, items in initializers.items():
+        net.initialize(wire, items)
+    external = {wire: inject_ticks([(7,), (), (8,)]) for wire in net.external_wires()}
+    try:
+        net._schedule()
+    except DeadlockDetected:
+        with pytest.raises(DeadlockDetected):
+            run_network(net, external, 3)
+        assert calls == []
+    else:
+        run = run_network(net, external, 3)
+        assert all(len(run.slots[wire]) == 3 for wire in run.wire_order)
