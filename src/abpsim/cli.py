@@ -133,6 +133,13 @@ def _inline_bounds(args) -> Tuple[int, int, float]:
     return count, horizon, drop
 
 
+def _reject_flags(args, names, context: str):
+    """A usage error naming every inline flag in `names` that was given."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise UsageError(f"{', '.join(given)}: {context}")
+
+
 def _generate_checked(seed: int, bounds: Tuple[int, int, float]) -> ScenarioSpec:
     try:
         return generate_scenario(seed, bounds)
@@ -163,6 +170,8 @@ def cmd_simulate(args) -> int:
     if args.scenario and args.seed is not None:
         raise UsageError("--scenario and --seed are mutually exclusive in simulate")
     if args.scenario:
+        _reject_flags(args, ("count", "drop", "horizon"),
+                      "only used with --seed (generated scenarios), not --scenario")
         scenario = _resolve_scenario(args.scenario)
     elif args.seed is not None:
         scenario = _generate_checked(args.seed, _inline_bounds(args))
@@ -286,6 +295,9 @@ def _identity_row(scenario: ScenarioSpec) -> dict:
 def _test_scenarios(args) -> Tuple[List[ScenarioSpec], Optional[int]]:
     scenarios: List[ScenarioSpec] = []
     suite_seed = None
+    if args.count is None:
+        _reject_flags(args, ("seed", "drop", "horizon"),
+                      "only used with --count N (random scenarios)")
     if args.scenario:
         scenarios.append(_resolve_scenario(args.scenario))
     if args.count is not None:

@@ -362,12 +362,17 @@ def boundary_interior_paths(catalog: TransitionCatalog, start_class: str,
     return frozenset(paths) if paths else frozenset({()})
 
 
+# Largest scenario horizon.  A run holds one tuple per slot on every wire,
+# so memory grows with the horizon even where quiet slots cost little time.
+_HORIZON_LIMIT = 1_000_000
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A replayable end-to-end run: which payloads enter in which slot, the
-    oracle for each medium, the observation horizon, and the protocol knobs.
-    The seed records the generator invocation for generated scenarios and is
-    absent on handcrafted ones."""
+    oracle for each medium, the observation horizon (1 to 1,000,000 slots),
+    and the protocol knobs.  The seed records the generator invocation for
+    generated scenarios and is absent on handcrafted ones."""
 
     name: str
     payload_slots: Tuple[Tuple[int, ...], ...]
@@ -385,6 +390,11 @@ class ScenarioSpec:
         )
         if self.horizon < 1:
             raise ValueError(f"scenario {self.name!r}: horizon must be at least 1")
+        if self.horizon > _HORIZON_LIMIT:
+            raise ValueError(
+                f"scenario {self.name!r}: horizon {self.horizon} exceeds the limit of "
+                f"{_HORIZON_LIMIT} slots"
+            )
         if len(self.payload_slots) > self.horizon:
             raise ValueError(
                 f"scenario {self.name!r}: {len(self.payload_slots)} payload slots "

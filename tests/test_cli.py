@@ -55,6 +55,35 @@ def test_simulate_flag_validation(capsys):
     assert code == 2 and "no_such_thing" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--count", "3"), ("--drop", "0.1"),
+                                         ("--horizon", "50")])
+def test_simulate_rejects_generator_bounds_with_a_scenario(capsys, flag, value):
+    code, out, err = run_cmd(capsys, "simulate", "--scenario", "all_pass", flag, value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and flag in err
+
+
+def test_simulate_scenario_file_to_a_json_file(tmp_path, capsys):
+    # The shape of run the benchmark makes: --scenario FILE --format json --out PATH.
+    scenario = tmp_path / "all_pass.json"
+    scenario.write_text(json.dumps(bundled_scenario("all_pass").to_dict()))
+    out_path = tmp_path / "trace.json"
+    code, out, _ = run_cmd(capsys, "simulate", "--scenario", str(scenario),
+                           "--format", "json", "--out", str(out_path))
+    assert code == 0 and out == ""
+    assert json.loads(out_path.read_text())["meta"]["scenario"] == "all_pass"
+
+
+def test_simulate_rejects_a_horizon_over_the_limit(tmp_path, capsys):
+    doc = bundled_scenario("all_pass").to_dict()
+    doc["horizon"] = 10**12
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cmd(capsys, "simulate", "--scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "exceeds the limit of 1000000 slots" in err
+
+
 def test_simulate_reports_model_errors_as_exit_1(tmp_path, capsys):
     # Two payloads in one slot but only one explicit oracle bit: the data
     # medium exhausts its oracle mid-run.
@@ -192,6 +221,14 @@ def test_test_rejects_malformed_table_fields(tmp_path, capsys, field, value):
     assert err.startswith("error: ") and f"field '{field}'" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--drop", "0.1"),
+                                         ("--horizon", "50")])
+def test_test_rejects_random_scenario_flags_without_count(capsys, flag, value):
+    code, out, err = run_cmd(capsys, "test", flag, value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and flag in err and "--count" in err
+
+
 def test_test_rejects_negative_count(capsys):
     assert run_cmd(capsys, "test", "--count", "-1")[0] == 2
 
@@ -299,6 +336,14 @@ def test_generate_rejects_certain_loss(capsys):
     code, _, err = run_cmd(capsys, "generate", "--seed", "1", "--drop", "1.0")
     assert code == 2
     assert "drop probability" in err
+
+
+def test_generate_rejects_a_horizon_over_the_limit(capsys):
+    # 50,000 payloads need more than a million slots at seed 0's drop rates.
+    code, out, err = run_cmd(capsys, "generate", "--seed", "0", "--count", "50000",
+                             "--horizon", str(10**12))
+    assert code == 2 and out == ""
+    assert "exceeds the limit of 1000000 slots" in err
 
 
 # ------------------------------------------------------------------- misc

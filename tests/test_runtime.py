@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abpsim import (
@@ -367,3 +367,123 @@ def test_run_network_deadlocks_exactly_when_the_schedule_does(network):
     else:
         run = run_network(net, external, 3)
         assert all(len(run.slots[wire]) == 3 for wire in run.wire_order)
+
+
+# ------------------------------------------------- quiet-slot fast-forward
+
+
+def _stateful(n_outputs, modulus, timer, fussy):
+    # State (total, countdown).  A message p adds p to total (mod modulus)
+    # and forwards p - 1 while p > 0, tagged by parity with two outputs, so
+    # traffic dies out even around cycles.  With a timer, a message arms
+    # countdown = timer, and the tick that zeroes it emits total.  A fussy
+    # machine raises ModelError on a total of modulus - 1.
+    def emit(p):
+        if n_outputs == 2:
+            return Msg(FromA(p) if p % 2 else FromB(p))
+        return Msg(p)
+
+    def delta(state, item):
+        total, countdown = state
+        if item is Tick:
+            if countdown > 1:
+                return (total, countdown - 1), (Tick,)
+            if countdown == 1:
+                return (total, 0), (emit(total), Tick)
+            return state, (Tick,)
+        p = item.payload
+        if isinstance(p, (FromA, FromB)):
+            p = p.payload
+        total = (total + p) % modulus
+        if fussy and total == modulus - 1:
+            raise ModelError(f"total reached {total}")
+        return (total, timer or countdown), ((emit(p - 1),) if p > 0 else ())
+
+    return delta
+
+
+def _idle_gapped_slots(draw, length):
+    # Payload slots separated by idle gaps of up to 30 slots, cut or padded
+    # to `length`.
+    slots = []
+    for gap, payloads in draw(st.lists(
+            st.tuples(st.integers(0, 30), st.lists(st.integers(0, 4), min_size=1, max_size=2)),
+            max_size=3)):
+        slots += [()] * gap + [tuple(payloads)]
+    return (slots + [()] * length)[:length]
+
+
+@st.composite
+def stateful_networks(draw):
+    # Up to three stateful components on five wires.  A wire read by its own
+    # producer or by an earlier component may close a cycle, so it gets a
+    # tick in its initializer: deadlocks are tested above, not here.
+    wires = ["w0", "w1", "w2", "w3", "w4"]
+    unproduced = list(draw(st.permutations(wires)))
+    net = NetworkSpec()
+    producer = {}
+    for index in range(draw(st.integers(1, 3))):
+        count = draw(st.integers(1, 2))
+        outputs, unproduced = unproduced[:count], unproduced[count:]
+        inputs = draw(st.lists(st.sampled_from(wires), min_size=1, max_size=2))
+        delta = _stateful(len(outputs), draw(st.integers(2, 7)),
+                          draw(st.sampled_from([0, 0, 1, 3])),
+                          draw(st.sampled_from([False, False, False, True])))
+        net.add_machine(f"c{index}", (draw(st.integers(0, 1)), 0), delta,
+                        inputs=inputs, outputs=outputs)
+        producer.update(dict.fromkeys(outputs, index))
+    items = st.sampled_from([Msg(1), Msg(3), Tick, Tick])
+    initializers = draw(st.dictionaries(
+        st.sampled_from(wires), st.lists(items, max_size=6), max_size=3))
+    for index, comp in enumerate(net._components.values()):
+        for wire in comp.inputs:
+            if producer.get(wire, -1) >= index and Tick not in initializers.get(wire, []):
+                initializers[wire] = initializers.get(wire, []) + [Tick]
+    for wire, initializer in initializers.items():
+        net.initialize(wire, initializer)
+    slots = draw(st.integers(1, 90))
+    short = draw(st.sampled_from([False, False, False, True]))
+    length = draw(st.integers(0, slots - 1)) if short else slots
+    external = {wire: _idle_gapped_slots(draw, length) for wire in net.external_wires()}
+    return net, external, slots
+
+
+def _outcome(net, external, slots):
+    # Every wire history, or the type and message of the error raised.
+    try:
+        run = run_network(net, {w: inject_ticks(s) for w, s in external.items()}, slots)
+    except Exception as exc:  # the differential compares errors too
+        return type(exc).__name__, str(exc)
+    return run.slots
+
+
+@settings(max_examples=300, deadline=None)
+@given(stateful_networks())
+def test_fast_forward_matches_full_stepping_on_random_networks(full_stepping, network):
+    net, external, slots = network
+    assert _outcome(net, external, slots) == _outcome(full_stepping(net), external, slots)
+
+
+def test_fast_forward_still_fires_a_long_armed_timer(full_stepping):
+    net = NetworkSpec()
+    net.add_machine("timer", (None, -1), attach_timer(arm_and_report),
+                    inputs=["a"], outputs=["b"])
+    fed = [(50,)] + [()] * 99
+    # Armed in slot 0, the timer counts down through 49 all-empty slots and
+    # fires in slot 49; an armed counter is a state change every slot, so
+    # the network must not settle before then.
+    run = run_network(net, {"a": inject_ticks(fed)}, 100)
+    assert run.slots["b"] == [()] * 49 + [("fired",)] + [()] * 50
+    assert run.slots == run_network(full_stepping(net), {"a": inject_ticks(fed)}, 100).slots
+
+
+def test_fast_forward_resumes_on_late_input_and_keeps_short_input_errors():
+    net = NetworkSpec()
+    net.add_machine("inc", None, lift_timed(lambda s, p: (s, (p + 1,))),
+                    inputs=["a"], outputs=["b"])
+    net.initialize("b", [Tick, Tick])
+    fed = [(1,)] + [()] * 40 + [(5,)] + [()] * 10
+    run = run_network(net, {"a": inject_ticks(fed)}, 52)
+    assert run.slots["b"] == [(), (), (2,)] + [()] * 40 + [(6,)] + [()] * 8
+    with pytest.raises(ModelError, match="external input ended after 52 slots, 60 requested"):
+        run_network(net, {"a": inject_ticks(fed)}, 60)

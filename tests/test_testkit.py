@@ -1,8 +1,11 @@
+import dataclasses
 import hashlib
 import itertools
 import json
 import random
 from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +34,8 @@ from abpsim import (
     scenario_digest,
     trans_test,
 )
+from abpsim import testkit
+from abpsim.abp import build_abp_network
 from abpsim.golden import BUNDLED_SCENARIO_NAMES, SENDER_CATALOG, bundled_scenario
 
 
@@ -325,6 +330,10 @@ def test_scenario_validates_shape():
         small_scenario(payload_slots=((1,),) * 20)
     with pytest.raises(ValueError):
         small_scenario(timeout=0)
+    # The horizon limit is checked before anything of that size is built.
+    with pytest.raises(ValueError, match="exceeds the limit of 1000000 slots"):
+        small_scenario(horizon=10**12)
+    assert small_scenario(horizon=1_000_000).horizon == 1_000_000
 
 
 def test_scenario_payloads_and_input_stream():
@@ -463,3 +472,89 @@ def test_run_scenario_reproduces_the_pinned_wire_histories():
         doc.append([scenario.name, [[wire, run.slots[wire]] for wire in run.wire_order]])
     canonical = json.dumps(doc, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == PINNED_WIRES_SHA256
+
+
+# ------------------------------------------------- quiet-slot fast-forward
+
+
+@contextmanager
+def abp_networks_rewired(rewrap):
+    """Within the block, run_scenario runs `rewrap` of each ABP network."""
+    with mock.patch.object(testkit, "build_abp_network",
+                           lambda *args, **kwargs: rewrap(build_abp_network(*args, **kwargs))):
+        yield
+
+
+def _scenario_outcome(scenario):
+    # Every wire history, or the type and message of the error raised.
+    try:
+        run, _ = run_scenario(scenario)
+    except Exception as exc:  # the differential compares errors too
+        return type(exc).__name__, str(exc)
+    return run.slots
+
+
+def _assert_fast_forward_matches_full_stepping(scenario, full_stepping):
+    fast = _scenario_outcome(scenario)
+    with abp_networks_rewired(full_stepping):
+        assert _scenario_outcome(scenario) == fast
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIO_NAMES)
+def test_fast_forward_matches_full_stepping_on_bundled_scenarios(full_stepping, name):
+    _assert_fast_forward_matches_full_stepping(bundled_scenario(name), full_stepping)
+
+
+oracle_specs = st.one_of(
+    st.lists(st.booleans(), min_size=1, max_size=12).map(OracleSpec.explicit),
+    st.lists(st.booleans(), min_size=1, max_size=6).filter(any).map(OracleSpec.cyclic),
+    st.builds(OracleSpec.bernoulli, st.floats(0.3, 1.0), st.integers(0, 2**32 - 1)),
+)
+
+
+@st.composite
+def abp_scenarios(draw):
+    slots = []
+    for gap, payloads in draw(st.lists(
+            st.tuples(st.integers(0, 40), st.lists(st.integers(0, 9), min_size=1, max_size=2)),
+            max_size=4)):
+        slots += [()] * gap + [tuple(payloads)]
+    return ScenarioSpec(
+        name="drawn",
+        payload_slots=tuple(slots),
+        horizon=len(slots) + draw(st.integers(1, 80)),
+        data_oracle=draw(oracle_specs),
+        ack_oracle=draw(oracle_specs),
+        timeout=draw(st.integers(1, 4)),
+        sender_bit=draw(st.booleans()),
+        receiver_bit=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(abp_scenarios())
+def test_fast_forward_matches_full_stepping_on_abp_scenarios(full_stepping, scenario):
+    _assert_fast_forward_matches_full_stepping(scenario, full_stepping)
+
+
+def test_fast_forward_calls_deltas_only_in_busy_slots(rewire):
+    scenario = dataclasses.replace(bundled_scenario("single_drop"), horizon=100_000)
+    calls = []
+
+    def counted(delta):
+        def step(state, item):
+            calls.append(item)
+            return delta(state, item)
+
+        return step
+
+    with abp_networks_rewired(lambda net: rewire(net, delta=counted)):
+        run, _ = run_scenario(scenario)
+    assert [p for slot in run.slots["out"] for p in slot] == [1]
+    busy = sum(1 for index in range(scenario.horizon)
+               if any(run.slots[wire][index] for wire in run.wire_order))
+    # Four components each take a tick per stepped slot, plus one call per
+    # message; the network settles a few slots after the last busy one.
+    # Stepping every slot would take over 400,000 calls.
+    assert busy < 20
+    assert len(calls) <= 8 * (busy + 10)
