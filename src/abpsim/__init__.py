@@ -8,13 +8,8 @@ from .streams import (
     Tick,
     TimedStream,
     all_ticks,
-    concat_streams,
-    filter_set,
     inject_ticks,
-    render_items,
-    take_items,
     take_slots,
-    untime,
 )
 from .runtime import (
     DeadlockDetected,

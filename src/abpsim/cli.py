@@ -54,6 +54,9 @@ _MODEL_ERRORS = (ModelError, DeadlockDetected, OracleExhausted, InvalidTimerValu
 DEFAULT_MAX_PAYLOADS = 10
 DEFAULT_MAX_HORIZON = 10_000
 DEFAULT_DROP = 0.3
+# Most random scenarios one `test --count` run may generate; all of them are
+# built before the first one runs.
+MAX_TEST_COUNT = 10_000
 
 
 class UsageError(Exception):
@@ -301,8 +304,8 @@ def _test_scenarios(args) -> Tuple[List[ScenarioSpec], Optional[int]]:
     if args.scenario:
         scenarios.append(_resolve_scenario(args.scenario))
     if args.count is not None:
-        if args.count < 0:
-            raise UsageError("--count must be non-negative")
+        if not 0 <= args.count <= MAX_TEST_COUNT:
+            raise UsageError(f"--count must lie between 0 and {MAX_TEST_COUNT}")
         suite_seed = 0 if args.seed is None else args.seed
         drop = DEFAULT_DROP if args.drop is None else args.drop
         horizon = DEFAULT_MAX_HORIZON if args.horizon is None else args.horizon
@@ -335,10 +338,11 @@ def _rows_text(rows, style) -> List[str]:
 def cmd_test(args) -> int:
     deltas = {name: binding.delta for name, binding in MACHINES.items()}
     rows: List[dict] = []
-    _run_transition_suite(_load_tables(args), deltas, rows)
+    cases = _load_tables(args)
+    scenarios, suite_seed = _test_scenarios(args)
+    _run_transition_suite(cases, deltas, rows)
     if not args.no_bundled:
         _run_path_suite(bundled_path_cases(), deltas, rows)
-    scenarios, suite_seed = _test_scenarios(args)
     rows.extend(_identity_row(scenario) for scenario in scenarios)
 
     passed = sum(1 for row in rows if row["status"] == "pass")
@@ -452,7 +456,7 @@ def _add_common(parser, *, scenario=False, tables=False, inline=False, coverage=
         parser.add_argument("--seed", type=int, help="seed for generated scenarios")
         parser.add_argument("--count", type=int,
                             help="max payloads (simulate/generate) or number of random "
-                                 "scenarios (test)")
+                                 f"scenarios (test, at most {MAX_TEST_COUNT})")
         parser.add_argument("--drop", type=float,
                             help=f"max drop probability (default {DEFAULT_DROP})")
         parser.add_argument("--horizon", type=int,

@@ -221,10 +221,18 @@ def bundled_tables() -> List[TableCase]:
     return cases
 
 
-def load_table_file(path) -> List[TableCase]:
+def _load_json(path):
+    """The JSON document in the file at `path`; nesting too deep for the
+    decoder is a ValueError, like any other malformed document."""
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    return parse_table(doc, source=str(path))
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError("JSON document nests too deeply") from None
+
+
+def load_table_file(path) -> List[TableCase]:
+    return parse_table(_load_json(path), source=str(path))
 
 
 def bundled_scenario(name: str) -> ScenarioSpec:
@@ -236,9 +244,7 @@ def bundled_scenario(name: str) -> ScenarioSpec:
 
 
 def load_scenario_file(path) -> ScenarioSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    return ScenarioSpec.from_dict(doc)
+    return ScenarioSpec.from_dict(_load_json(path))
 
 
 def bundled_path_cases() -> List[Tuple[str, PathCase]]:

@@ -28,6 +28,11 @@ class LiteralError(ValueError):
     """Text does not conform to the literal grammar."""
 
 
+# Deepest nesting of sequences and tags parse_value accepts; deeper text is
+# a LiteralError.  The parser recurses twice per level, so this keeps it
+# well inside Python's stack.
+_MAX_DEPTH = 100
+
 _TOKEN = re.compile(r"\s*(-?\d+|[A-Za-z_][A-Za-z0-9_]*|[\[\](),])")
 
 # Tags taking no arguments map straight to their singletons.
@@ -72,10 +77,16 @@ class _Parser:
         if got != token:
             raise LiteralError(f"expected {token!r} but found {got!r} in {self.text!r}")
 
-    def value(self) -> Any:
+    def deeper(self, depth: int) -> int:
+        if depth == _MAX_DEPTH:
+            raise LiteralError(f"literal nests deeper than {_MAX_DEPTH} levels")
+        return depth + 1
+
+    def value(self, depth: int = 0) -> Any:
+        """One value; `depth` counts the sequences and tags around it."""
         token = self.next()
         if token == "[":
-            return self.sequence()
+            return self.sequence(self.deeper(depth))
         if re.fullmatch(r"-?\d+", token):
             return int(token)
         if token in _KEYWORDS:
@@ -83,32 +94,32 @@ class _Parser:
         if token in _NULLARY:
             return _NULLARY[token]
         if token in _WRAPPERS or token in ("SetTimer", "Oracle"):
-            return self.tagged(token)
+            return self.tagged(token, self.deeper(depth))
         raise LiteralError(f"unknown token {token!r} in {self.text!r}")
 
-    def sequence(self) -> tuple:
+    def sequence(self, depth: int) -> tuple:
         items = []
         if self.peek() == "]":
             self.next()
             return ()
         while True:
-            items.append(self.value())
+            items.append(self.value(depth))
             token = self.next()
             if token == "]":
                 return tuple(items)
             if token != ",":
                 raise LiteralError(f"expected ',' or ']' but found {token!r} in {self.text!r}")
 
-    def tagged(self, tag: str) -> Any:
+    def tagged(self, tag: str, depth: int) -> Any:
         self.expect("(")
-        args = [self.value()]
+        args = [self.value(depth)]
         while True:
             token = self.next()
             if token == ")":
                 break
             if token != ",":
                 raise LiteralError(f"expected ',' or ')' but found {token!r} in {self.text!r}")
-            args.append(self.value())
+            args.append(self.value(depth))
         if tag == "SetTimer":
             if len(args) != 1 or not isinstance(args[0], int) or isinstance(args[0], bool):
                 raise LiteralError(f"SetTimer takes one integer argument, got {args!r}")

@@ -6,6 +6,8 @@ everything the hand-written models are executed against: machine execution
 over input sequences, lifting untimed machines to tick-aware ones, timer
 attachment, slot-synchronous channel merge/demux, and ``run_network``, the
 deterministic per-slot evaluator of component networks with feedback wires.
+Timed streams are read slot by slot (``TimedStream.slots``); deltas see
+the paper's Msg/Tick items, one slot's messages and then its tick.
 
 Timer semantics (fixed here, relied on everywhere else): ``SetTimer n``
 arms a countdown of n ticks; each subsequent tick decrements; the timeout
@@ -17,9 +19,9 @@ the counter.  ``SetTimer -1`` disables the timer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
-from .streams import Msg, Tick, TimedStream, _split_slots
+from .streams import Msg, Tick, TimedStream
 
 # A transition function: (state, input) -> (new state, output sequence).
 Delta = Callable[[Any, Any], Tuple[Any, Sequence[Any]]]
@@ -160,13 +162,6 @@ def attach_timer(delta: Delta) -> Delta:
     return timed
 
 
-def _slot_iter(s: TimedStream) -> Iterator[tuple]:
-    rest: List[Any] = []
-    yield from _split_slots(s.items(), rest)
-    if rest:
-        raise ModelError("timed stream ended inside a slot (trailing messages without a tick)")
-
-
 def _merge_slot(slot_a: tuple, slot_b: tuple) -> tuple:
     """One slot of two merged channels: a's payloads tagged FromA, then b's
     tagged FromB."""
@@ -192,14 +187,9 @@ def merge_timed(a: TimedStream, b: TimedStream) -> TimedStream:
     then all of b's tagged FromB, then one tick.  Runs for as many slots as
     both streams provide."""
 
-    def produce():
-        for slot_a, slot_b in zip(_slot_iter(a), _slot_iter(b)):
-            yield from map(Msg, _merge_slot(slot_a, slot_b))
-            yield Tick
-
     horizons = [h for h in (a.horizon, b.horizon) if h is not None]
     horizon = min(horizons) if horizons else None
-    return TimedStream(produce, horizon=horizon)
+    return TimedStream(lambda: map(_merge_slot, a.slots(), b.slots()), horizon=horizon)
 
 
 def demux_timed(s: TimedStream) -> Tuple[TimedStream, TimedStream]:
@@ -208,12 +198,8 @@ def demux_timed(s: TimedStream) -> Tuple[TimedStream, TimedStream]:
     goes to both."""
 
     def route(port):
-        def produce():
-            for slot in _slot_iter(s):
-                yield from map(Msg, _demux_slot(slot, "demux saw")[port])
-                yield Tick
-
-        return TimedStream(produce, horizon=s.horizon)
+        return TimedStream(lambda: (_demux_slot(slot, "demux saw")[port] for slot in s.slots()),
+                           horizon=s.horizon)
 
     return route(0), route(1)
 
@@ -272,14 +258,18 @@ class NetworkSpec:
         whole slot, delaying every reader of the wire by one slot; the
         messages after the last tick go in front of the wire's first fed or
         produced slot."""
-        items = tuple(items)
+        slots: List[tuple] = []
+        current: List[Any] = []
         for item in items:
-            if item is not Tick and not isinstance(item, Msg):
+            if item is Tick:
+                slots.append(tuple(current))
+                current = []
+            elif isinstance(item, Msg):
+                current.append(item.payload)
+            else:
                 raise ValueError(f"initializer of wire {wire!r} holds {item!r}, not Msg or Tick")
-        rest: List[Any] = []
-        slots = tuple(_split_slots(items, rest))
         self._note_wire(wire)
-        self._initializers[wire] = (slots, tuple(rest))
+        self._initializers[wire] = (tuple(slots), tuple(current))
         return self
 
     def _note_wire(self, wire: str):
@@ -415,7 +405,7 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
             if wire in lead:
                 history[wire][-1] = lead.pop(wire) + history[wire][-1]
 
-    feeds = [(history[name], _slot_iter(stream)) for name, stream in external.items()]
+    feeds = [(history[name], stream.slots()) for name, stream in external.items()]
     plan = [(comp.outputs, _slot_step(comp), [history[w] for w in comp.inputs],
              [history[w] for w in comp.outputs]) for comp in order]
     produced = [wire_history for *_, writes in plan for wire_history in writes]

@@ -19,6 +19,7 @@ folded into failing verdicts so a suite always runs to completion.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -29,7 +30,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 from .abp import RESEND_TIMEOUT, OracleSpec, build_abp_network
 from .runtime import Delta, NetworkRun, run_network
-from .streams import TimedStream, inject_ticks
+from .streams import TimedStream
 
 FULL = "full"
 STATES_ONLY = "states"
@@ -240,16 +241,6 @@ class TransitionCatalog:
             )
         return matches[0] if matches else None
 
-    def check_determinism(self, steps: Iterable[Tuple[Any, Any]]) -> int:
-        """Classify every given concrete step, raising ClassificationError on
-        the first ambiguity.  Returns the number of steps checked."""
-        count = 0
-        for state, item in steps:
-            self.classify(state, item)
-            self.class_of(state)
-            count += 1
-        return count
-
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -407,8 +398,11 @@ class ScenarioSpec:
         return tuple(p for slot in self.payload_slots for p in slot)
 
     def input_stream(self) -> TimedStream:
-        padding = ((),) * (self.horizon - len(self.payload_slots))
-        return inject_ticks(self.payload_slots + padding)
+        """The input wire: the payload slots, then empty slots up to the
+        horizon."""
+        idle = self.horizon - len(self.payload_slots)
+        return TimedStream(lambda: itertools.chain(self.payload_slots, itertools.repeat((), idle)),
+                           horizon=self.horizon)
 
     def to_dict(self) -> dict:
         data = {

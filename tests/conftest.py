@@ -3,6 +3,8 @@ import dataclasses
 
 import pytest
 
+from abpsim import FromA, FromB, ModelError, Msg, Tick
+
 # One line per acceptance criterion, printed after the run so the verdicts
 # survive pytest's output capture.
 _ACCEPTANCE_LINES = []
@@ -64,3 +66,73 @@ def rewire():
 def full_stepping():
     """Maps a NetworkSpec to a copy that `run_network` steps in full."""
     return lambda net: _rewire(net, Restless, _restless)
+
+
+def _reference_run(spec, external, slots):
+    """Every wire's history over `slots` slots by the plain per-slot rule,
+    kept apart from `run_network` as the reference it must match.
+
+    Each round feeds every external wire its next slot, read from the
+    stream's Msg/Tick items, then steps the components in schedule order:
+    each tick-aware delta gets the slot's messages (tagged FromA/FromB with
+    two inputs) and then one tick.  There is no slot-step adapter and no
+    fast-forward.  Only the schedule and the split initializers come from
+    `spec`.  Errors carry the messages `run_network` gives them."""
+    order = spec._schedule()
+    history = {wire: [] for wire in spec.wire_order}
+    lead = {}
+    for wire, (prefilled, rest) in spec._initializers.items():
+        history[wire].extend(prefilled)
+        lead[wire] = rest
+    feeds = {wire: stream.items() for wire, stream in external.items()}
+    states = {comp.name: comp.start for comp in order}
+
+    def put(wire, payloads):
+        # An initializer's messages after its last tick lead the wire's first
+        # fed or produced slot.
+        history[wire].append(lead.pop(wire, ()) + tuple(payloads))
+
+    for index in range(slots):
+        for wire, items in feeds.items():
+            payloads = []
+            for item in items:
+                if item is Tick:
+                    break
+                payloads.append(item.payload)
+            else:
+                assert not payloads, "items() ended inside a slot"
+                raise ModelError(f"external input ended after {index} slots, {slots} requested")
+            put(wire, payloads)
+        for comp in order:
+            if len(comp.inputs) == 2:
+                first, second = (history[wire][index] for wire in comp.inputs)
+                fed = [Msg(FromA(p)) for p in first] + [Msg(FromB(p)) for p in second]
+            else:
+                fed = [Msg(p) for p in history[comp.inputs[0]][index]]
+            state, produced = states[comp.name], []
+            for item in fed + [Tick]:
+                state, outputs = comp.delta(state, item)
+                produced.extend(outputs)
+            states[comp.name] = state
+            ticks = sum(1 for item in produced if item is Tick)
+            if ticks != 1 or produced[-1] is not Tick:
+                raise ModelError(f"component {comp.name!r} emitted {ticks} tick(s) in one "
+                                 f"slot; expected exactly one, last")
+            payloads = [item.payload for item in produced[:-1]]
+            if len(comp.outputs) == 1:
+                put(comp.outputs[0], payloads)
+                continue
+            for p in payloads:
+                if not isinstance(p, (FromA, FromB)):
+                    raise ModelError(f"component {comp.name!r} has two output ports but "
+                                     f"emitted untagged payload {p!r}")
+            put(comp.outputs[0], [p.payload for p in payloads if isinstance(p, FromA)])
+            put(comp.outputs[1], [p.payload for p in payloads if isinstance(p, FromB)])
+    return {wire: wire_history[:slots] for wire, wire_history in history.items()}
+
+
+@pytest.fixture(scope="session")
+def reference_run():
+    """`run_network`'s reference: (spec, external streams, slots) -> the
+    wire histories, by plain per-slot stepping."""
+    return _reference_run

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from abpsim import bundled_scenario, generate_scenario, scenario_digest
+from abpsim import cli
 from abpsim.cli import run
 
 
@@ -233,6 +236,37 @@ def test_test_rejects_negative_count(capsys):
     assert run_cmd(capsys, "test", "--count", "-1")[0] == 2
 
 
+def test_test_rejects_a_count_over_the_limit(capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    for name in ("generate_scenario", "trans_test", "path_test", "check_identity"):
+        monkeypatch.setattr(cli, name, no_run)
+    code, out, err = run_cmd(capsys, "test", "--count", str(cli.MAX_TEST_COUNT + 1))
+    assert code == 2 and out == ""
+    assert err.startswith("error: --count") and str(cli.MAX_TEST_COUNT) in err
+
+
+def test_test_rejects_a_too_deeply_nested_table_literal(tmp_path, capsys):
+    record = {"id": "deep", "machine": "sender", "start": "[" * 5000 + "]" * 5000,
+              "input": "3", "expectState": "[true,[3]]", "expectOutputs": "[]"}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps([record]))
+    code, out, err = run_cmd(capsys, "test", "--tables", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "field 'start'" in err and "deeper than 100" in err
+
+
+@pytest.mark.parametrize("argv", [("simulate", "--scenario"), ("test", "--tables")],
+                         ids=["scenario", "table"])
+def test_too_deeply_nested_json_files_are_usage_errors(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cmd(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "nests too deeply" in err
+
+
 def test_test_failing_row_details_the_mismatch(tmp_path, capsys):
     table = [{
         "id": "wrong", "machine": "sender", "start": "[true,[]]", "input": "3",
@@ -367,3 +401,40 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, timeout=60)
     assert result.returncode == 0
     assert "0 failed" in result.stdout
+
+
+# ------------------------------------------------------- pinned documents
+
+# sha256 of each document as the CLI printed it before timed streams stored
+# slots; any change to these bytes is a change of behaviour.
+PINNED_DOCUMENTS = [
+    (("simulate", "--scenario", "single_drop", "--format", "json"), 0,
+     "1d92d3e0affc4c1f65ff0439381cbf23cd0afe416cb0e76680efc307ee2a0fe5"),
+    (("simulate", "--seed", "7", "--format", "json"), 0,
+     "baa9993a2b3fe48ec05b2d98ddb4e4402b9fd43f4e9620971d7ddcf69685d468"),
+    (("test", "--count", "100", "--seed", "0", "--format", "json"), 0,
+     "c10591ee68cbcb81fc19ab08587c21157a8da00d88ffea9f4d1db6a5ecdafd7b"),
+    (("test", "--format", "json"), 0,
+     "5302eec576d626dce4921c5e0994a9e243d42976ab0b6cdabc2733d21b50d501"),
+    (("test", "--scenario", "mismatched_bits", "--format", "json"), 1,
+     "7c821c26c5d9bbbf8424f258445418661c1ab5394e7f64bb42c8598de97d529c"),
+    (("coverage", "--format", "json"), 0,
+     "1d61bd94784859874b485aa7ec4ad12e17beb9cef0144cd8f17acd4a2d9de216"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, sha256", PINNED_DOCUMENTS,
+                         ids=[" ".join(argv) for argv, _, _ in PINNED_DOCUMENTS])
+def test_cli_documents_are_pinned(capsys, argv, exit_code, sha256):
+    code, out, _ = run_cmd(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_readme_quick_start_is_the_simulate_output(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI quick start", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    command, expected = block.split("\n", 1)
+    assert command == "$ abpsim simulate --scenario single_drop"
+    code, out, _ = run_cmd(capsys, "simulate", "--scenario", "single_drop")
+    assert code == 0 and out == expected

@@ -74,6 +74,27 @@ def test_parse_rejects_malformed_text(text):
         parse_value(text)
 
 
+def test_parse_accepts_100_nesting_levels():
+    sequences, messages = (), 1
+    for _ in range(99):
+        sequences = (sequences,)
+    for _ in range(100):
+        messages = Msg(messages)
+    assert parse_value("[" * 100 + "]" * 100) == sequences
+    assert parse_value("Msg(" * 100 + "1" + ")" * 100) == messages
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 101 + "]" * 101,
+    "[" * 5000 + "]" * 5000,
+    "Msg(" * 5000 + "1" + ")" * 5000,
+    "[" * 100_000,
+], ids=["101-sequences", "5000-sequences", "5000-tags", "100000-unclosed"])
+def test_parse_rejects_nesting_deeper_than_100_levels(text):
+    with pytest.raises(LiteralError, match="nests deeper than 100 levels"):
+        parse_value(text)
+
+
 def test_format_booleans_before_integers():
     assert format_value(True) == "true"
     assert format_value(False) == "false"

@@ -170,15 +170,14 @@ def test_overlapping_classes_are_a_classification_error():
         sloppy.classify(2, "x")
 
 
-def test_check_determinism_counts_clean_steps():
-    catalog = toy_catalog()
-    assert catalog.check_determinism([(0, "inc"), (1, "inc"), (0, "noop")]) == 3
-
-
 def test_sender_catalog_is_deterministic_on_its_golden_steps():
     steps = [((True, ()), 3), ((True, (3,)), True), ((True, (3, 4)), False),
              ((True, (3, 4)), True), ((False, ()), False)]
-    assert SENDER_CATALOG.check_determinism(steps) == len(steps)
+    # Each step lies in exactly one class and matches exactly one entry;
+    # classify and class_of raise ClassificationError on a second match.
+    for state, item in steps:
+        assert SENDER_CATALOG.classify(state, item) is not None
+        assert SENDER_CATALOG.class_of(state) is not None
 
 
 # --------------------------------------------------------------- instrument
@@ -494,15 +493,27 @@ def _scenario_outcome(scenario):
     return run.slots
 
 
-def _assert_fast_forward_matches_full_stepping(scenario, full_stepping):
+def _reference_outcome(scenario, reference_run):
+    net = build_abp_network(scenario.data_oracle, scenario.ack_oracle, timeout=scenario.timeout,
+                            sender_bit=scenario.sender_bit, receiver_bit=scenario.receiver_bit)
+    try:
+        return reference_run(net, {"input": scenario.input_stream()}, scenario.horizon)
+    except Exception as exc:  # the differential compares errors too
+        return type(exc).__name__, str(exc)
+
+
+def _assert_fast_forward_matches_references(scenario, full_stepping, reference_run):
     fast = _scenario_outcome(scenario)
     with abp_networks_rewired(full_stepping):
         assert _scenario_outcome(scenario) == fast
+    assert _reference_outcome(scenario, reference_run) == fast
 
 
 @pytest.mark.parametrize("name", BUNDLED_SCENARIO_NAMES)
-def test_fast_forward_matches_full_stepping_on_bundled_scenarios(full_stepping, name):
-    _assert_fast_forward_matches_full_stepping(bundled_scenario(name), full_stepping)
+def test_fast_forward_matches_full_stepping_on_bundled_scenarios(full_stepping, reference_run,
+                                                                  name):
+    _assert_fast_forward_matches_references(bundled_scenario(name), full_stepping,
+                                            reference_run)
 
 
 oracle_specs = st.one_of(
@@ -533,8 +544,9 @@ def abp_scenarios(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(abp_scenarios())
-def test_fast_forward_matches_full_stepping_on_abp_scenarios(full_stepping, scenario):
-    _assert_fast_forward_matches_full_stepping(scenario, full_stepping)
+def test_fast_forward_matches_full_stepping_on_abp_scenarios(full_stepping, reference_run,
+                                                             scenario):
+    _assert_fast_forward_matches_references(scenario, full_stepping, reference_run)
 
 
 def test_fast_forward_calls_deltas_only_in_busy_slots(rewire):
