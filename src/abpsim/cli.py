@@ -7,8 +7,10 @@ instrumentation and reports catalog coverage; ``generate`` writes a
 replayable random scenario file.
 
 Exit codes: 0 success, 1 test or model failure, 2 usage or parse error.
-JSON output is byte-deterministic for identical inputs.  Human output
-honors NO_COLOR.
+JSON output is byte-deterministic for identical inputs: every document is
+written by `_json_text`, whose bytes equal ``json.dumps(doc,
+sort_keys=True, indent=2)`` plus a newline, and a `wires` section renders
+each distinct slot once.  Human output honors NO_COLOR.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import os
 import random
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import __version__
@@ -83,9 +86,18 @@ def _wire_text(slots) -> str:
 
 def _wires_json(wires) -> List[dict]:
     """The JSON `wires` list for (name, slots) pairs: each slot a list of
-    payload literals."""
-    return [{"name": wire, "slots": [[_render_payload(p) for p in slot] for slot in slots]}
-            for wire, slots in wires]
+    payload literals.  Each distinct slot is rendered once; slots are told
+    apart by repr, since ``(True,)`` and ``(1,)`` compare equal."""
+    rendered: Dict[str, List[str]] = {}
+
+    def render(slot):
+        key = repr(slot)
+        literals = rendered.get(key)
+        if literals is None:
+            literals = rendered[key] = [_render_payload(p) for p in slot]
+        return literals
+
+    return [{"name": wire, "slots": list(map(render, slots))} for wire, slots in wires]
 
 
 def _emit(text: str, out_path: Optional[str]):
@@ -97,7 +109,53 @@ def _emit(text: str, out_path: Optional[str]):
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte,
+    for documents of str-keyed dicts, lists, tuples, str, int, bool, None
+    and float.  The stdlib encodes indented JSON in pure Python; this
+    writer makes one call per container and none per string."""
+    return _json_value(doc, "\n") + "\n"
+
+
+def _json_value(value, newline: str) -> str:
+    """The indent-2 JSON text of `value`; `newline` is a newline and the
+    indent of the line `value` starts on."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_encode_str(item) if type(item) is str else _json_value(item, inner)
+                 for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        members = []
+        for key in sorted(value):
+            item = value[key]
+            members.append(_encode_str(key) + ": " + (
+                _encode_str(item) if type(item) is str else _json_value(item, inner)))
+        return "{" + inner + ("," + inner).join(members) + newline + "}"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        # The forms `json` gives floats, NaN and the infinities included.
+        if value != value:
+            return "NaN"
+        if value == float("inf"):
+            return "Infinity"
+        if value == -float("inf"):
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _meta(scenario: Optional[ScenarioSpec] = None, seed: Optional[int] = None,

@@ -6,8 +6,12 @@ everything the hand-written models are executed against: machine execution
 over input sequences, lifting untimed machines to tick-aware ones, timer
 attachment, slot-synchronous channel merge/demux, and ``run_network``, the
 deterministic per-slot evaluator of component networks with feedback wires.
-Timed streams are read slot by slot (``TimedStream.slots``); deltas see
-the paper's Msg/Tick items, one slot's messages and then its tick.
+Timed streams are read slot by slot (``TimedStream.slots``).  A delta sees
+the paper's Msg/Tick items, one slot's messages and then its tick; the
+deltas ``lift_timed`` and ``attach_timer`` return also carry a *slot form*,
+(state, one slot's payloads) -> (state, output payloads), which
+``run_network`` calls once per slot instead.  A slot form must agree with
+its item form fed the slot's messages and then one tick.
 
 Timer semantics (fixed here, relied on everywhere else): ``SetTimer n``
 arms a countdown of n ticks; each subsequent tick decrements; the timeout
@@ -107,7 +111,11 @@ def run_machine(start, delta: Delta, inputs: Iterable[Any]):
 
 def lift_timed(delta: Delta) -> Delta:
     """Make an untimed machine tick-aware: ticks pass through unchanged
-    (state untouched), messages run the inner machine with Msg wrapping."""
+    (state untouched), messages run the inner machine with Msg wrapping.
+
+    The returned delta carries a slot form, used by `run_network`: (state,
+    one slot's payloads) -> (state, output payloads), running the inner
+    machine on each payload with no Msg boxing."""
 
     def timed(state, item):
         if item is Tick:
@@ -115,6 +123,14 @@ def lift_timed(delta: Delta) -> Delta:
         new_state, outputs = delta(state, item.payload)
         return new_state, tuple(Msg(o) for o in outputs)
 
+    def slot_form(state, payloads):
+        produced: List[Any] = []
+        for payload in payloads:
+            state, outputs = delta(state, payload)
+            produced += outputs
+        return state, tuple(produced)
+
+    timed._slot_form = slot_form
     return timed
 
 
@@ -128,37 +144,52 @@ def attach_timer(delta: Delta) -> Delta:
     decremented; when it would hit zero the inner machine receives
     TimeoutEvent within the same slot, its outputs are processed the same
     way, and the tick is emitted last.
+
+    The returned delta carries a slot form, used by `run_network`: (state,
+    one slot's payloads) -> (state, output payloads), feeding MsgI(p) for
+    each payload and then applying the same tick rule.
     """
 
-    def apply_outputs(inner_outputs, counter):
-        emitted = []
+    def absorb(inner_outputs, counter, emitted):
+        # MsgO payloads go to `emitted`; the counter after every SetTimer.
         for out in inner_outputs:
             if isinstance(out, SetTimer):
                 if out.slots == 0 or out.slots < DISABLED:
                     raise InvalidTimerValue(f"SetTimer({out.slots})")
                 counter = out.slots
             elif isinstance(out, MsgO):
-                emitted.append(Msg(out.payload))
+                emitted.append(out.payload)
             else:
                 raise ModelError(f"timer machine produced {out!r}, expected MsgO or SetTimer")
-        return counter, emitted
+        return counter
+
+    def tick(state, counter, emitted):
+        if counter >= 2:
+            return state, counter - 1
+        if counter == 1:
+            state, inner_outputs = delta(state, TimeoutEvent)
+            return state, absorb(inner_outputs, DISABLED, emitted)
+        return state, counter
 
     def timed(state_counter, item):
         state, counter = state_counter
+        emitted: List[Any] = []
         if item is Tick:
-            emitted: List[Any] = []
-            if counter >= 2:
-                counter -= 1
-            elif counter == 1:
-                counter = DISABLED
-                state, inner_outputs = delta(state, TimeoutEvent)
-                counter, emitted = apply_outputs(inner_outputs, counter)
-            emitted.append(Tick)
-            return (state, counter), tuple(emitted)
+            state_counter = tick(state, counter, emitted)
+            return state_counter, tuple(map(Msg, emitted)) + (Tick,)
         state, inner_outputs = delta(state, MsgI(item.payload))
-        counter, emitted = apply_outputs(inner_outputs, counter)
-        return (state, counter), tuple(emitted)
+        counter = absorb(inner_outputs, counter, emitted)
+        return (state, counter), tuple(map(Msg, emitted))
 
+    def slot_form(state_counter, payloads):
+        state, counter = state_counter
+        emitted: List[Any] = []
+        for payload in payloads:
+            state, inner_outputs = delta(state, MsgI(payload))
+            counter = absorb(inner_outputs, counter, emitted)
+        return tick(state, counter, emitted), tuple(emitted)
+
+    timed._slot_form = slot_form
     return timed
 
 
@@ -322,15 +353,10 @@ class NetworkRun:
 SlotStep = Callable[[Any, Sequence[tuple]], Tuple[Any, Tuple[tuple, ...]]]
 
 
-def _slot_step(comp: _Component) -> SlotStep:
-    """Adapt a component's tick-aware delta into a slot step.  The slot's
-    messages (merged by `_merge_slot` when there are two inputs) and then
-    one tick are fed to the delta; its outputs must hold exactly one tick,
-    last, and with two output ports they are split by `_demux_slot`."""
-    delta, name = comp.delta, comp.name
-    merge = len(comp.inputs) == 2
-    split = len(comp.outputs) == 2
-    culprit = f"component {name!r} has two output ports but emitted"
+def _item_slot_form(delta: Delta, name: str) -> Callable[[Any, Sequence[Any]], Tuple[Any, tuple]]:
+    """The slot form of a hand-written tick-aware delta: the slot's
+    messages and then one tick are fed to the delta, and its outputs must
+    hold exactly one tick, last."""
 
     def tick_error(produced):
         ticks = sum(1 for item in produced if item is Tick)
@@ -338,23 +364,40 @@ def _slot_step(comp: _Component) -> SlotStep:
             f"component {name!r} emitted {ticks} tick(s) in one slot; expected exactly one, last"
         )
 
-    def step(state, in_slots):
+    def slot_form(state, payloads):
         produced: List[Any] = []
-        for payload in _merge_slot(*in_slots) if merge else in_slots[0]:
+        for payload in payloads:
             state, outputs = delta(state, Msg(payload))
             produced += outputs
         state, outputs = delta(state, Tick)
         produced += outputs
         if not produced or produced[-1] is not Tick:
             raise tick_error(produced)
-        payloads = []
+        emitted = []
         for item in produced[:-1]:
             if item is Tick:
                 raise tick_error(produced)
-            payloads.append(item.payload)
+            emitted.append(item.payload)
+        return state, tuple(emitted)
+
+    return slot_form
+
+
+def _slot_step(comp: _Component) -> SlotStep:
+    """Adapt a component's delta into a slot step: its slot form (the one
+    `lift_timed`/`attach_timer` attach, else `_item_slot_form`) applied to
+    the slot's payloads, merged by `_merge_slot` when there are two inputs,
+    and with two output ports the output split by `_demux_slot`."""
+    slot_form = getattr(comp.delta, "_slot_form", None) or _item_slot_form(comp.delta, comp.name)
+    merge = len(comp.inputs) == 2
+    split = len(comp.outputs) == 2
+    culprit = f"component {comp.name!r} has two output ports but emitted"
+
+    def step(state, in_slots):
+        state, payloads = slot_form(state, _merge_slot(*in_slots) if merge else in_slots[0])
         if split:
             return state, _demux_slot(payloads, culprit)
-        return state, (tuple(payloads),)
+        return state, (payloads,)
 
     return step
 
@@ -405,7 +448,7 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
             if wire in lead:
                 history[wire][-1] = lead.pop(wire) + history[wire][-1]
 
-    feeds = [(history[name], stream.slots()) for name, stream in external.items()]
+    feeds = [(wire, history[wire], stream.slots()) for wire, stream in external.items()]
     plan = [(comp.outputs, _slot_step(comp), [history[w] for w in comp.inputs],
              [history[w] for w in comp.outputs]) for comp in order]
     produced = [wire_history for *_, writes in plan for wire_history in writes]
@@ -413,13 +456,16 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
     settled = False
     for index in range(slots):
         quiet = True
-        for wire_history, feed in feeds:
+        for wire, wire_history, feed in feeds:
             try:
                 slot = next(feed)
             except StopIteration:
                 raise ModelError(
                     f"external input ended after {index} slots, {slots} requested"
                 ) from None
+            if not isinstance(slot, tuple):
+                raise ModelError(f"external wire {wire!r} was fed a {type(slot).__name__} "
+                                 f"in slot {index}, not a tuple of payloads")
             wire_history.append(slot)
             if slot:
                 quiet = False

@@ -64,7 +64,10 @@ def rewire():
 
 @pytest.fixture(scope="session")
 def full_stepping():
-    """Maps a NetworkSpec to a copy that `run_network` steps in full."""
+    """Maps a NetworkSpec to a copy that `run_network` steps in full.  The
+    boxing deltas carry no slot form, so every component of the copy also
+    runs through the generic Msg/Tick adapter, which the slot forms of
+    `lift_timed` and `attach_timer` must match."""
     return lambda net: _rewire(net, Restless, _restless)
 
 

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from abpsim import bundled_scenario, generate_scenario, scenario_digest
 from abpsim import cli
@@ -401,6 +403,31 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, timeout=60)
     assert result.returncode == 0
     assert "0 failed" in result.stdout
+
+
+# ------------------------------------------------------------ JSON output
+
+json_scalars = (st.none() | st.booleans() | st.integers() | st.text()
+                | st.floats(allow_nan=True, allow_infinity=True))
+json_documents = st.dictionaries(st.text(), st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20))
+
+
+@given(json_documents)
+@example({"floats": [float("nan"), float("inf"), -float("inf"), -0.0, 1e16, 0.1],
+          "text": "\u00e9\u2028\x00\ud83d\ude00\"", "empty": [{}, [], ""], "": None})
+def test_json_text_is_the_stdlib_indented_sorted_encoding(doc):
+    assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_wires_json_tells_equal_slots_of_different_types_apart():
+    slots = [(True,), (1,), (True, 1), (1, 1), (1,), (True, 1), ((True, 1),), ((1, 1),)]
+    wires = cli._wires_json([("a", slots), ("b", slots[::-1])])
+    assert wires[0]["slots"] == [["true"], ["1"], ["true", "1"], ["1", "1"], ["1"],
+                                 ["true", "1"], ["[true,1]"], ["[1,1]"]]
+    assert wires[1]["slots"] == wires[0]["slots"][::-1]
 
 
 # ------------------------------------------------------- pinned documents

@@ -13,6 +13,7 @@ from abpsim import (
     NetworkSpec,
     SetTimer,
     Tick,
+    TimedStream,
     TimeoutEvent,
     attach_timer,
     demux_timed,
@@ -172,6 +173,21 @@ def test_run_network_pipeline_records_every_wire():
     assert run.slots["b"] == [(2,), (), (5,)]
     assert run.slots["c"] == [(2, 2), (), (5, 5)]
     assert run.wire_order == ("a", "b", "c")
+
+
+@pytest.mark.parametrize("fed, initializer, index", [
+    ([[1], [2]], [], 0),
+    ([(1,), [2]], [], 1),
+    ([[1], (2,)], [Msg(9)], 0),
+    ([(1,), "2"], [Tick, Msg(9)], 1),
+])
+def test_run_network_rejects_fed_slots_that_are_not_tuples(fed, initializer, index):
+    net = NetworkSpec()
+    net.add_machine("fwd", None, forwarder(), inputs=["a"], outputs=["b"])
+    if initializer:
+        net.initialize("a", initializer)
+    with pytest.raises(ModelError, match=f"external wire 'a' was fed a .* in slot {index}, "):
+        run_network(net, {"a": TimedStream(lambda: fed)}, 2)
 
 
 def test_run_network_needs_enough_external_slots():
@@ -354,16 +370,37 @@ def test_run_network_deadlocks_exactly_when_the_schedule_does(network):
 # ------------------------------------------------- quiet-slot fast-forward
 
 
+def _tagged(n_outputs, p):
+    # p as a component with n_outputs ports emits it: tagged by parity with two.
+    if n_outputs == 2:
+        return FromA(p) if p % 2 else FromB(p)
+    return p
+
+
+def _untagged(p):
+    return p.payload if isinstance(p, (FromA, FromB)) else p
+
+
+def _untimed(n_outputs, modulus, fussy):
+    # State total.  A message p adds p to total (mod modulus) and forwards
+    # p - 1 while p > 0, tagged by parity with two outputs, so traffic dies
+    # out even around cycles.  A fussy machine raises ModelError on a total
+    # of modulus - 1.
+    def delta(total, p):
+        p = _untagged(p)
+        total = (total + p) % modulus
+        if fussy and total == modulus - 1:
+            raise ModelError(f"total reached {total}")
+        return total, ((_tagged(n_outputs, p - 1),) if p > 0 else ())
+
+    return delta
+
+
 def _stateful(n_outputs, modulus, timer, fussy):
-    # State (total, countdown).  A message p adds p to total (mod modulus)
-    # and forwards p - 1 while p > 0, tagged by parity with two outputs, so
-    # traffic dies out even around cycles.  With a timer, a message arms
-    # countdown = timer, and the tick that zeroes it emits total.  A fussy
-    # machine raises ModelError on a total of modulus - 1.
-    def emit(p):
-        if n_outputs == 2:
-            return Msg(FromA(p) if p % 2 else FromB(p))
-        return Msg(p)
+    # A hand-written tick-aware `_untimed`: state (total, countdown).  With
+    # a timer, a message arms countdown = timer, and the tick that zeroes it
+    # emits total.
+    untimed = _untimed(n_outputs, modulus, fussy)
 
     def delta(state, item):
         total, countdown = state
@@ -371,17 +408,56 @@ def _stateful(n_outputs, modulus, timer, fussy):
             if countdown > 1:
                 return (total, countdown - 1), (Tick,)
             if countdown == 1:
-                return (total, 0), (emit(total), Tick)
+                return (total, 0), (Msg(_tagged(n_outputs, total)), Tick)
             return state, (Tick,)
-        p = item.payload
-        if isinstance(p, (FromA, FromB)):
-            p = p.payload
-        total = (total + p) % modulus
-        if fussy and total == modulus - 1:
-            raise ModelError(f"total reached {total}")
-        return (total, timer or countdown), ((emit(p - 1),) if p > 0 else ())
+        total, outputs = untimed(total, item.payload)
+        return (total, timer or countdown), tuple(map(Msg, outputs))
 
     return delta
+
+
+def _timer_inner(n_outputs, modulus, arms, rearm, foreign):
+    # An inner machine for attach_timer: state total.  A message p runs
+    # `_untimed`, then issues SetTimer(n) for each n in arms[p % len(arms)]
+    # (two in one step, -1 to disable, 0 is invalid).  A timeout emits total
+    # and re-arms with `rearm` unless it is None.  With `foreign`, a total of
+    # modulus - 1 also emits a bare payload, which attach_timer rejects.
+    untimed = _untimed(n_outputs, modulus, False)
+
+    def delta(total, event):
+        if event is TimeoutEvent:
+            rearming = () if rearm is None else (SetTimer(rearm),)
+            return total, (MsgO(_tagged(n_outputs, total)),) + rearming
+        p = _untagged(event.payload)
+        total, outputs = untimed(total, p)
+        outputs = tuple(map(MsgO, outputs))
+        if foreign and total == modulus - 1:
+            outputs += ("raw",)
+        return total, outputs + tuple(SetTimer(n) for n in arms[p % len(arms)])
+
+    return delta
+
+
+timer_arms = st.lists(st.lists(st.sampled_from([1, 1, 2, 3, 5, -1, -1, 0]), max_size=2)
+                      .map(tuple), min_size=1, max_size=3)
+
+
+@st.composite
+def components(draw, n_outputs):
+    # (start state, delta) of one stateful component: hand-written
+    # tick-aware, lifted by lift_timed, or owning a timer by attach_timer.
+    modulus = draw(st.integers(2, 7))
+    total = draw(st.integers(0, 1))
+    fussy = draw(st.sampled_from([False, False, False, True]))
+    kind = draw(st.sampled_from(["item", "lifted", "timer"]))
+    if kind == "item":
+        timer = draw(st.sampled_from([0, 0, 1, 3]))
+        return (total, 0), _stateful(n_outputs, modulus, timer, fussy)
+    if kind == "lifted":
+        return total, lift_timed(_untimed(n_outputs, modulus, fussy))
+    inner = _timer_inner(n_outputs, modulus, draw(timer_arms),
+                         draw(st.sampled_from([None, None, 1, 2])), fussy)
+    return (total, draw(st.sampled_from([-1, -1, 1, 3]))), attach_timer(inner)
 
 
 def _idle_gapped_slots(draw, length):
@@ -395,9 +471,53 @@ def _idle_gapped_slots(draw, length):
     return (slots + [()] * length)[:length]
 
 
+def _slot_by_slot(step, start, slots):
+    # (state, output payloads) after each slot of `step`, or the type and
+    # message of the error it raises.
+    state, results = start, []
+    try:
+        for slot in slots:
+            state, outputs = step(state, slot)
+            results.append((state, outputs))
+    except Exception as exc:  # the differential compares errors too
+        results.append((type(exc).__name__, str(exc)))
+    return results
+
+
+def _item_form_step(timed):
+    # One slot through the item form: the slot's Msgs, then one Tick, which
+    # must close the outputs.
+    def step(state, slot):
+        state, outputs = run_machine(state, timed, [*map(Msg, slot), Tick])
+        assert outputs[-1] is Tick and Tick not in outputs[:-1]
+        return state, tuple(item.payload for item in outputs[:-1])
+
+    return step
+
+
+payload_slots = st.lists(st.lists(st.integers(0, 4), max_size=3).map(tuple), max_size=12)
+
+
+@given(payload_slots, st.integers(1, 2), st.integers(2, 7), st.booleans())
+def test_lift_timed_slot_form_matches_its_item_form(slots, n_outputs, modulus, fussy):
+    timed = lift_timed(_untimed(n_outputs, modulus, fussy))
+    assert (_slot_by_slot(timed._slot_form, 0, slots)
+            == _slot_by_slot(_item_form_step(timed), 0, slots))
+
+
+@given(payload_slots, st.integers(1, 2), st.integers(2, 7), timer_arms,
+       st.sampled_from([None, 1, 2]), st.booleans(), st.sampled_from([-1, 1, 3]))
+def test_attach_timer_slot_form_matches_its_item_form(slots, n_outputs, modulus, arms, rearm,
+                                                      foreign, counter):
+    timed = attach_timer(_timer_inner(n_outputs, modulus, arms, rearm, foreign))
+    assert (_slot_by_slot(timed._slot_form, (0, counter), slots)
+            == _slot_by_slot(_item_form_step(timed), (0, counter), slots))
+
+
 @st.composite
 def stateful_networks(draw):
-    # Up to three stateful components on five wires.  A wire read by its own
+    # Up to three stateful components on five wires, each drawn by
+    # `components`.  A wire read by its own
     # producer or by an earlier component may close a cycle, so it gets a
     # tick in its initializer: deadlocks are tested above, not here.
     wires = ["w0", "w1", "w2", "w3", "w4"]
@@ -408,11 +528,8 @@ def stateful_networks(draw):
         count = draw(st.integers(1, 2))
         outputs, unproduced = unproduced[:count], unproduced[count:]
         inputs = draw(st.lists(st.sampled_from(wires), min_size=1, max_size=2))
-        delta = _stateful(len(outputs), draw(st.integers(2, 7)),
-                          draw(st.sampled_from([0, 0, 1, 3])),
-                          draw(st.sampled_from([False, False, False, True])))
-        net.add_machine(f"c{index}", (draw(st.integers(0, 1)), 0), delta,
-                        inputs=inputs, outputs=outputs)
+        start, delta = draw(components(len(outputs)))
+        net.add_machine(f"c{index}", start, delta, inputs=inputs, outputs=outputs)
         producer.update(dict.fromkeys(outputs, index))
     items = st.sampled_from([Msg(1), Msg(3), Tick, Tick])
     initializers = draw(st.dictionaries(
