@@ -39,9 +39,11 @@ from .golden import (
 from .literals import format_value
 from .runtime import DeadlockDetected, InvalidTimerValue, ModelError
 from .testkit import (
+    FULL,
     CoverageReport,
     IdentityStatus,
     ScenarioSpec,
+    StepVerdict,
     Verdict,
     check_identity,
     generate_scenario,
@@ -260,7 +262,11 @@ def cmd_simulate(args) -> int:
 # -------------------------------------------------------------------- test
 
 
-def _verdict_row(kind: str, machine: str, verdict: Verdict, note: str = "") -> dict:
+def _verdict_row(kind: str, machine: str, verdict: Verdict | StepVerdict, pairs: bool,
+                 note: str = "") -> dict:
+    """One report row for a Verdict or a path case's first failing
+    StepVerdict; `pairs` says whether its expected and actual values are
+    (state, outputs) pairs rather than a single state or output tuple."""
     row: Dict[str, Any] = {
         "kind": kind,
         "machine": machine,
@@ -268,24 +274,24 @@ def _verdict_row(kind: str, machine: str, verdict: Verdict, note: str = "") -> d
         "status": "pass" if verdict.passed else "fail",
     }
     if not verdict.passed:
-        detail = []
-        if verdict.error:
-            detail.append(verdict.error)
+        expected = _describe(verdict.expected, pairs)
+        actual = _describe(verdict.actual, pairs)
+        if isinstance(verdict, StepVerdict):
+            row["detail"] = (f"step {verdict.index}: expected {expected}; actual {actual}"
+                             + (f"; {verdict.error}" if verdict.error else ""))
         else:
-            detail.append(f"expected {_describe(verdict.expected)}")
-            detail.append(f"actual   {_describe(verdict.actual)}")
-        row["detail"] = "; ".join(detail)
+            row["detail"] = verdict.error or f"expected {expected}; actual   {actual}"
         if note:
             row["note"] = note
     return row
 
 
-def _describe(value) -> str:
-    if isinstance(value, tuple) and len(value) == 2:
+def _describe(value, pair: bool) -> str:
+    # A step that raised has no actual value, pair or not.
+    if pair and value is not None:
         state, outputs = value
-        if isinstance(outputs, tuple):
-            return (f"state {format_value(state, strict=False)}, "
-                    f"outputs {format_value(outputs, strict=False)}")
+        return (f"state {format_value(state, strict=False)}, "
+                f"outputs {format_value(outputs, strict=False)}")
     return format_value(value, strict=False)
 
 
@@ -295,29 +301,20 @@ def _run_transition_suite(cases, deltas, rows, accumulators=None):
         verdict = trans_test(delta, table_case.case)
         if accumulators is not None:
             accumulators[table_case.machine].record_verdict(verdict.passed)
-        rows.append(_verdict_row("transition", table_case.machine, verdict, table_case.note))
+        rows.append(_verdict_row("transition", table_case.machine, verdict, True,
+                                 table_case.note))
 
 
 def _run_path_suite(path_cases, deltas, rows, accumulators=None):
     for machine, case in path_cases:
         result = path_test(deltas[machine], case)
         if isinstance(result, Verdict):
-            passed = result.passed
-            row = _verdict_row("path", machine, result)
+            verdict = result
         else:
-            passed = all(step.passed for step in result)
-            row = {"kind": "path", "machine": machine, "id": case.id,
-                   "status": "pass" if passed else "fail"}
-            if not passed:
-                first = next(step for step in result if not step.passed)
-                row["detail"] = (
-                    f"step {first.index}: expected {_describe(first.expected)}; "
-                    f"actual {_describe(first.actual)}"
-                    + (f"; {first.error}" if first.error else "")
-                )
+            verdict = next((step for step in result if not step.passed), Verdict(case.id, True))
         if accumulators is not None:
-            accumulators[machine].record_verdict(passed)
-        rows.append(row)
+            accumulators[machine].record_verdict(verdict.passed)
+        rows.append(_verdict_row("path", machine, verdict, case.mode == FULL))
 
 
 def _identity_row(scenario: ScenarioSpec) -> dict:

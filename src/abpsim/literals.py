@@ -8,6 +8,9 @@ argument tuple, so ``MsgO(true,3)`` is the signed message (true, 3) inside
 MsgO.  Machine states fit the same grammar: a sender state is written
 ``[true,[3,4]]``.
 
+parse_value reads the text in one tokenizer pass and builds the value in one
+loop over an explicit stack of open sequences and tags, so deep nesting never
+recurses; text nested more than 100 levels deep is a LiteralError.
 parse_value and format_value are inverse on grammar-representable values.
 Values outside the grammar (closures, foreign objects) format as Python
 reprs when ``strict`` is off, which is how the CLI renders every trace and
@@ -17,7 +20,7 @@ report; strict mode (the default) raises instead.
 from __future__ import annotations
 
 import re
-from typing import Any, Iterator, List, Tuple
+from typing import Any, List, Tuple
 
 from .abp import OracleCursor, OracleSpec
 from .runtime import FromA, FromB, MsgI, MsgO, SetTimer, TimeoutEvent
@@ -29,123 +32,101 @@ class LiteralError(ValueError):
 
 
 # Deepest nesting of sequences and tags parse_value accepts; deeper text is
-# a LiteralError.  The parser recurses twice per level, so this keeps it
-# well inside Python's stack.
+# a LiteralError.  The parser keeps its own stack, but format_value, repr
+# and == on the parsed value recurse once or twice per level, so this keeps
+# them well inside Python's stack.
 _MAX_DEPTH = 100
 
-_TOKEN = re.compile(r"\s*(-?\d+|[A-Za-z_][A-Za-z0-9_]*|[\[\](),])")
+# One token after optional whitespace; the second group catches the first
+# character that starts no token.
+_TOKEN = re.compile(r"\s*(?:(-?\d+|[A-Za-z_][A-Za-z0-9_]*|[\[\](),])|(\S))")
 
-# Tags taking no arguments map straight to their singletons.
-_NULLARY = {"Tick": Tick, "Timeout": TimeoutEvent}
+_ATOMS = {"true": True, "false": False, "Tick": Tick, "Timeout": TimeoutEvent}
 _WRAPPERS = {"Msg": Msg, "MsgI": MsgI, "MsgO": MsgO, "FromA": FromA, "FromB": FromB}
-_KEYWORDS = {"true": True, "false": False}
+_TAGS = {*_WRAPPERS, "SetTimer", "Oracle"}
 
 
-def _tokenize(text: str) -> List[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise LiteralError(f"unexpected character {rest[0]!r} at position {pos} in {text!r}")
-        tokens.append(match.group(1))
-        pos = match.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: List[str], text: str):
-        self.tokens = tokens
-        self.text = text
-        self.index = 0
-
-    def peek(self) -> str:
-        if self.index >= len(self.tokens):
-            raise LiteralError(f"unexpected end of input in {self.text!r}")
-        return self.tokens[self.index]
-
-    def next(self) -> str:
-        token = self.peek()
-        self.index += 1
-        return token
-
-    def expect(self, token: str):
-        got = self.next()
-        if got != token:
-            raise LiteralError(f"expected {token!r} but found {got!r} in {self.text!r}")
-
-    def deeper(self, depth: int) -> int:
-        if depth == _MAX_DEPTH:
-            raise LiteralError(f"literal nests deeper than {_MAX_DEPTH} levels")
-        return depth + 1
-
-    def value(self, depth: int = 0) -> Any:
-        """One value; `depth` counts the sequences and tags around it."""
-        token = self.next()
-        if token == "[":
-            return self.sequence(self.deeper(depth))
-        if re.fullmatch(r"-?\d+", token):
-            return int(token)
-        if token in _KEYWORDS:
-            return _KEYWORDS[token]
-        if token in _NULLARY:
-            return _NULLARY[token]
-        if token in _WRAPPERS or token in ("SetTimer", "Oracle"):
-            return self.tagged(token, self.deeper(depth))
-        raise LiteralError(f"unknown token {token!r} in {self.text!r}")
-
-    def sequence(self, depth: int) -> tuple:
-        items = []
-        if self.peek() == "]":
-            self.next()
-            return ()
-        while True:
-            items.append(self.value(depth))
-            token = self.next()
-            if token == "]":
-                return tuple(items)
-            if token != ",":
-                raise LiteralError(f"expected ',' or ']' but found {token!r} in {self.text!r}")
-
-    def tagged(self, tag: str, depth: int) -> Any:
-        self.expect("(")
-        args = [self.value(depth)]
-        while True:
-            token = self.next()
-            if token == ")":
-                break
-            if token != ",":
-                raise LiteralError(f"expected ',' or ')' but found {token!r} in {self.text!r}")
-            args.append(self.value(depth))
-        if tag == "SetTimer":
-            if len(args) != 1 or not isinstance(args[0], int) or isinstance(args[0], bool):
-                raise LiteralError(f"SetTimer takes one integer argument, got {args!r}")
-            return SetTimer(args[0])
-        if tag == "Oracle":
-            if len(args) not in (1, 2) or not isinstance(args[0], tuple):
-                raise LiteralError(f"Oracle takes a bit sequence and an optional position, got {args!r}")
-            position = args[1] if len(args) == 2 else 0
-            if not isinstance(position, int) or isinstance(position, bool) or position < 0:
-                raise LiteralError(f"Oracle position must be a non-negative integer, got {position!r}")
-            if not all(isinstance(b, bool) for b in args[0]):
-                raise LiteralError(f"Oracle bits must be booleans, got {args[0]!r}")
-            return OracleCursor(OracleSpec.explicit(args[0]), position)
-        payload = args[0] if len(args) == 1 else tuple(args)
-        return _WRAPPERS[tag](payload)
+def _tagged(tag: str, args: List[Any]) -> Any:
+    if tag == "SetTimer":
+        if len(args) != 1 or not isinstance(args[0], int) or isinstance(args[0], bool):
+            raise LiteralError(f"SetTimer takes one integer argument, got {args!r}")
+        return SetTimer(args[0])
+    if tag == "Oracle":
+        if len(args) not in (1, 2) or not isinstance(args[0], tuple):
+            raise LiteralError(f"Oracle takes a bit sequence and an optional position, got {args!r}")
+        position = args[1] if len(args) == 2 else 0
+        if not isinstance(position, int) or isinstance(position, bool) or position < 0:
+            raise LiteralError(f"Oracle position must be a non-negative integer, got {position!r}")
+        if not all(isinstance(b, bool) for b in args[0]):
+            raise LiteralError(f"Oracle bits must be booleans, got {args[0]!r}")
+        return OracleCursor(OracleSpec.explicit(args[0]), position)
+    return _WRAPPERS[tag](args[0] if len(args) == 1 else tuple(args))
 
 
 def parse_value(text: str) -> Any:
     """Parse one literal; trailing tokens are an error."""
     if not isinstance(text, str):
         raise LiteralError(f"expected a literal string, got {text!r}")
-    parser = _Parser(_tokenize(text), text)
-    value = parser.value()
-    if parser.index != len(parser.tokens):
-        raise LiteralError(f"trailing input {parser.tokens[parser.index]!r} in {text!r}")
-    return value
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        token, stray = match.groups()
+        if stray is not None:
+            raise LiteralError(f"unexpected character {stray!r} at position {match.start()} in {text!r}")
+        tokens.append(token)
+    end = len(tokens)
+    tokens.append(None)  # reading this sentinel means the text ended early
+
+    def unexpected(token: Any, wanted: str) -> LiteralError:
+        if token is None:
+            return LiteralError(f"unexpected end of input in {text!r}")
+        return LiteralError(f"expected {wanted} but found {token!r} in {text!r}")
+
+    # One (opener, items) frame per open sequence "[" or tag; the nesting
+    # depth is the stack's length.
+    stack: List[Tuple[str, List[Any]]] = []
+    pos = 0
+    while True:
+        token = tokens[pos]
+        pos += 1
+        if token == "[" or token in _TAGS:
+            if len(stack) == _MAX_DEPTH:
+                raise LiteralError(f"literal nests deeper than {_MAX_DEPTH} levels")
+            if token == "[" and tokens[pos] == "]":
+                pos += 1
+                value = ()
+            else:
+                if token != "[":
+                    if tokens[pos] != "(":
+                        raise unexpected(tokens[pos], "'('")
+                    pos += 1
+                stack.append((token, []))
+                continue
+        elif token in _ATOMS:
+            value = _ATOMS[token]
+        elif token is None:
+            raise unexpected(token, "a value")
+        elif token[0] == "-" or token[0].isdecimal():  # as r"\d", any Unicode digit
+            value = int(token)
+        else:
+            raise LiteralError(f"unknown token {token!r} in {text!r}")
+        # A complete value: add it to the innermost frame, closing frames
+        # for as long as the next token ends them.
+        while stack:
+            opener, items = stack[-1]
+            items.append(value)
+            token = tokens[pos]
+            pos += 1
+            if token == ",":
+                break
+            closer = "]" if opener == "[" else ")"
+            if token != closer:
+                raise unexpected(token, f"',' or {closer!r}")
+            stack.pop()
+            value = tuple(items) if opener == "[" else _tagged(opener, items)
+        else:
+            if pos != end:
+                raise LiteralError(f"trailing input {tokens[pos]!r} in {text!r}")
+            return value
 
 
 def _format_payload_args(payload: Any, strict: bool) -> str:

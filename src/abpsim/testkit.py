@@ -259,9 +259,7 @@ class CoverageReport:
 
 @dataclass
 class CoverageAccumulator:
-    """Mutable tally behind an instrumented delta.  Merge is a commutative,
-    associative union, so per-case partial accumulators can be combined in
-    any order."""
+    """Mutable tally behind an instrumented delta."""
 
     transitions: Counter = field(default_factory=Counter)
     classes: Counter = field(default_factory=Counter)
@@ -282,15 +280,6 @@ class CoverageAccumulator:
             self.passes += 1
         else:
             self.failures += 1
-
-    def merge(self, other: "CoverageAccumulator") -> "CoverageAccumulator":
-        return CoverageAccumulator(
-            transitions=self.transitions + other.transitions,
-            classes=self.classes + other.classes,
-            unmatched=self.unmatched + other.unmatched,
-            passes=self.passes + other.passes,
-            failures=self.failures + other.failures,
-        )
 
     def report(self, catalog: TransitionCatalog) -> CoverageReport:
         ids = catalog.ids()
@@ -357,13 +346,19 @@ def boundary_interior_paths(catalog: TransitionCatalog, start_class: str,
 # so memory grows with the horizon even where quiet slots cost little time.
 _HORIZON_LIMIT = 1_000_000
 
+# Most payloads one scenario may carry.  The sender's buffer is a tuple that
+# is copied on every enqueue and ack, so a run costs time quadratic in the
+# number of payloads waiting in it.
+_PAYLOAD_LIMIT = 10_000
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A replayable end-to-end run: which payloads enter in which slot, the
     oracle for each medium, the observation horizon (1 to 1,000,000 slots),
-    and the protocol knobs.  The seed records the generator invocation for
-    generated scenarios and is absent on handcrafted ones."""
+    and the protocol knobs.  A scenario carries at most 10,000 payloads in
+    all.  The seed records the generator invocation for generated scenarios
+    and is absent on handcrafted ones."""
 
     name: str
     payload_slots: Tuple[Tuple[int, ...], ...]
@@ -390,6 +385,12 @@ class ScenarioSpec:
             raise ValueError(
                 f"scenario {self.name!r}: {len(self.payload_slots)} payload slots "
                 f"exceed horizon {self.horizon}"
+            )
+        count = sum(map(len, self.payload_slots))
+        if count > _PAYLOAD_LIMIT:
+            raise ValueError(
+                f"scenario {self.name!r}: {count} payloads exceed the limit of "
+                f"{_PAYLOAD_LIMIT} payloads"
             )
         if self.timeout < 1:
             raise ValueError(f"scenario {self.name!r}: timeout must be at least 1")

@@ -8,8 +8,19 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from abpsim import bundled_scenario, generate_scenario, scenario_digest
+from abpsim import (
+    FULL,
+    OUTPUTS_ONLY,
+    STATES_ONLY,
+    MsgO,
+    PathCase,
+    SetTimer,
+    bundled_scenario,
+    generate_scenario,
+    scenario_digest,
+)
 from abpsim import cli
+from abpsim.golden import MACHINES
 from abpsim.cli import run
 
 
@@ -87,6 +98,22 @@ def test_simulate_rejects_a_horizon_over_the_limit(tmp_path, capsys):
     code, out, err = run_cmd(capsys, "simulate", "--scenario", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "exceeds the limit of 1000000 slots" in err
+
+
+@pytest.mark.parametrize("source", ["file", "seed"])
+def test_simulate_rejects_more_than_10000_payloads(tmp_path, capsys, source):
+    if source == "file":
+        doc = bundled_scenario("all_pass").to_dict()
+        doc["payload_slots"] = [[1] * 10_001]
+        path = tmp_path / "crowded.json"
+        path.write_text(json.dumps(doc))
+        argv = ("--scenario", str(path))
+    else:
+        # Seed 3 draws 19,981 payloads under these bounds.
+        argv = ("--seed", "3", "--count", "20000", "--drop", "0", "--horizon", "1000000")
+    code, out, err = run_cmd(capsys, "simulate", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "exceed the limit of 10000 payloads" in err
 
 
 def test_simulate_reports_model_errors_as_exit_1(tmp_path, capsys):
@@ -280,6 +307,27 @@ def test_test_failing_row_details_the_mismatch(tmp_path, capsys):
     assert code == 1
     assert "FAIL transition sender/wrong" in out
     assert "expected" in out and "actual" in out
+
+
+def test_failing_path_rows_describe_what_their_mode_compares():
+    # A sender state (bit, buffer) has the shape of a (state, outputs) pair,
+    # so only the case's mode says which of the two a row is showing.
+    def case(mode, expectation):
+        return "sender", PathCase(id=mode, start_state=(True, ()), inputs=(3,), mode=mode,
+                                  expectation=expectation)
+
+    wrong_outputs = (MsgO((True, 4)), SetTimer(3))
+    rows = []
+    cli._run_path_suite(
+        [case(STATES_ONLY, [(True, (4,))]), case(OUTPUTS_ONLY, wrong_outputs),
+         case(FULL, [((True, (4,)), wrong_outputs)])],
+        {"sender": MACHINES["sender"].delta}, rows)
+    assert [row["detail"] for row in rows] == [
+        "step 0: expected [true,[4]]; actual [true,[3]]",
+        "expected [MsgO(true,4),SetTimer(3)]; actual   [MsgO(true,3),SetTimer(3)]",
+        "step 0: expected state [true,[4]], outputs [MsgO(true,4),SetTimer(3)]; "
+        "actual state [true,[3]], outputs [MsgO(true,3),SetTimer(3)]",
+    ]
 
 
 def test_test_writes_reports_to_a_file(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from abpsim import ModelError, MsgO, OracleSpec, ScenarioSpec, SetTimer, parse_table
 from abpsim.golden import (
@@ -126,3 +128,64 @@ def test_medium_catalog_distinguishes_pass_and_drop():
     assert catalog.classify(passing, Msg((True, 1))) == "m_pass"
     assert catalog.classify(dropping, Msg((True, 1))) == "m_drop"
     assert catalog.classify(passing, Tick) == "m_tick"
+
+
+# --------------------------------------------------- malformed documents
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=10,
+)
+
+# Table records and scenario documents with their required fields, each
+# holding a well-formed or an arbitrary value, so that draws get past the
+# shape checks into the field checks.
+def either(valid):
+    return valid | json_values
+
+
+literals = either(st.sampled_from(
+    ["[true,[]]", "[true,[3]]", "3", "true", "[]", "[MsgO(true,3),SetTimer(3)]",
+     "Oracle([true],0)", "Msg(", "[1,", "@", ""]
+))
+table_records = st.fixed_dictionaries(
+    {"id": either(st.text(max_size=4)),
+     "machine": either(st.sampled_from(["sender", "receiver", "medium", "router"])),
+     "start": literals, "input": literals, "expectState": literals, "expectOutputs": literals},
+    optional={"note": json_values, "comment": json_values},
+)
+table_documents = (json_values | st.lists(table_records, max_size=3)
+                   | st.fixed_dictionaries({"cases": st.lists(table_records, max_size=3)}))
+
+oracle_documents = either(st.fixed_dictionaries(
+    {"kind": either(st.sampled_from(["explicit", "cyclic", "bernoulli", "weather"]))},
+    optional={"bits": either(st.lists(st.booleans(), max_size=3)),
+              "pass_probability": either(st.floats()),
+              "seed": either(st.integers())},
+))
+scenario_documents = json_values | st.fixed_dictionaries(
+    {"payload_slots": either(st.lists(st.lists(st.integers(), max_size=3), max_size=3)),
+     "horizon": either(st.integers(-2, 2_000_000)),
+     "data_oracle": oracle_documents, "ack_oracle": oracle_documents},
+    optional={"name": either(st.text(max_size=4)), "timeout": either(st.integers(-2, 5)),
+              "sender_bit": either(st.booleans()), "receiver_bit": either(st.booleans()),
+              "seed": either(st.integers())},
+)
+
+
+@given(table_documents)
+def test_parse_table_raises_only_value_errors(doc):
+    try:
+        parse_table(doc)
+    except ValueError:  # LiteralError included
+        pass
+
+
+@given(scenario_documents)
+def test_scenario_from_dict_raises_only_value_errors(doc):
+    try:
+        ScenarioSpec.from_dict(doc)
+    except ValueError:
+        pass

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -163,3 +166,87 @@ values = st.recursive(
 @given(values)
 def test_format_parse_round_trip(value):
     assert parse_value(format_value(value)) == value
+
+
+# Grammar tokens, three times over, and a few strays; joined with no
+# separator, neighbours fuse into longer numbers or identifiers.
+_SOUP = 3 * [
+    "[", "]", "(", ")", ",", "[", "]", "(", ")", ",",
+    "true", "false", "0", "7", "-3", "12", "Tick", "Timeout",
+    "Msg", "MsgI", "MsgO", "FromA", "FromB", "SetTimer", "Oracle",
+] + ["flurb", "_x1", "@", "-", "\u0663", " ", "\n"]
+_TAGS = ["Msg", "MsgI", "MsgO", "FromA", "FromB", "SetTimer", "Oracle"]
+
+
+def _random_literal(rng, depth=0):
+    kind = rng.randrange(4 if depth < 4 else 2)
+    if kind == 0:
+        return rng.choice(["true", "false", "Tick", "Timeout", str(rng.randint(-9, 99))])
+    if kind == 1:
+        return "[" + ",".join(rng.choice(["true", "false"]) for _ in range(rng.randrange(4))) + "]"
+    args = [_random_literal(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 2:
+        return "[" + ",".join(args) + "]"
+    return rng.choice(_TAGS) + "(" + ",".join(args) + ")"
+
+
+def _corpus():
+    """20,000 token strings, 10,000 tagged literals (half of them with one
+    edit), and texts at and past the nesting limit."""
+    rng = random.Random(8)
+    for _ in range(20_000):
+        sep = rng.choice(["", "", " ", "\t"])
+        yield sep.join(rng.choice(_SOUP) for _ in range(rng.randint(1, 12)))
+    for _ in range(10_000):
+        text = _random_literal(rng)
+        if rng.random() < 0.5:
+            cut = rng.randrange(len(text) + 1)
+            text = text[:cut] + rng.choice(["", ",", "]", ")", "(", "1", " "]) + text[cut + rng.randrange(2):]
+        yield text
+    for n in (99, 100, 101):
+        yield "[" * n + "]" * n
+        yield "Msg(" * n + "1" + ")" * n
+        yield "[" * n
+        yield "Msg(" * n
+        yield "[" * n + "Msg"
+        yield "[" * n + "Msg[1]"
+        yield "[" * n + "@"
+        yield "Msg(" * n + "true" + ")" * n + "]"
+    yield "[" * 5000 + "]" * 5000
+    yield "Msg(" * 5000 + "1" + ")" * 5000
+    yield "[" * 100_000
+
+
+def _outcome(text):
+    try:
+        return repr(parse_value(text))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_parse_value_outcomes_are_pinned():
+    # Every value's repr and every error's class and message, in corpus
+    # order: the parser's behaviour down to the wording and the order in
+    # which it checks things (a stray character before any parse error,
+    # the depth limit before a tag's "(").
+    digest = hashlib.sha256()
+    for text in _corpus():
+        digest.update(f"{text!r}\t{_outcome(text)}\n".encode())
+    assert digest.hexdigest() == "6c007b1d2616a25c2ddde96adb5b4426578527f41278f62555cfe26af0ed59a2"
+
+
+def _value_errors_only(text):
+    try:
+        parse_value(text)
+    except ValueError:  # LiteralError included
+        pass
+
+
+@given(st.text())
+def test_parse_value_raises_only_value_errors_on_any_text(text):
+    _value_errors_only(text)
+
+
+@given(st.lists(st.sampled_from(_SOUP + ["\t", "x", "99999999999999999999"]), max_size=30))
+def test_parse_value_raises_only_value_errors_on_token_soup(tokens):
+    _value_errors_only("".join(tokens))

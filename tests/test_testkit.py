@@ -17,7 +17,6 @@ from abpsim import (
     STATES_ONLY,
     CatalogEntry,
     ClassificationError,
-    CoverageAccumulator,
     IdentityStatus,
     OracleSpec,
     PathCase,
@@ -214,30 +213,6 @@ def test_report_completes_once_every_entry_fires():
     assert report.verdict_counts == (1, 1)
 
 
-def tally(steps, passes, failures):
-    acc = CoverageAccumulator()
-    for entry_id, class_id in steps:
-        acc.record_step(entry_id, class_id, f"step-{entry_id}-{class_id}")
-    for _ in range(passes):
-        acc.record_verdict(True)
-    for _ in range(failures):
-        acc.record_verdict(False)
-    return acc
-
-
-step_lists = st.lists(
-    st.tuples(st.sampled_from([None, "a", "b"]), st.sampled_from([None, "x", "y"])),
-    max_size=6,
-)
-tallies = st.builds(tally, step_lists, st.integers(0, 3), st.integers(0, 3))
-
-
-@given(tallies, tallies, tallies)
-def test_accumulator_merge_is_commutative_and_associative(a, b, c):
-    assert a.merge(b) == b.merge(a)
-    assert a.merge(b).merge(c) == a.merge(b.merge(c))
-
-
 # ---------------------------------------------------- boundary-interior paths
 
 
@@ -333,6 +308,13 @@ def test_scenario_validates_shape():
     with pytest.raises(ValueError, match="exceeds the limit of 1000000 slots"):
         small_scenario(horizon=10**12)
     assert small_scenario(horizon=1_000_000).horizon == 1_000_000
+
+
+def test_scenario_rejects_more_than_10000_payloads():
+    # The limit counts payloads across slots, not slots.
+    assert len(small_scenario(payload_slots=((7,) * 5_000,) * 2).payloads()) == 10_000
+    with pytest.raises(ValueError, match="10001 payloads exceed the limit of 10000 payloads"):
+        small_scenario(payload_slots=((7,) * 5_000, (), (7,) * 5_001))
 
 
 def test_scenario_payloads_and_input_stream():
