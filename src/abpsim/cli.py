@@ -20,6 +20,7 @@ import json
 import os
 import random
 import sys
+from collections import Counter
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -40,7 +41,6 @@ from .literals import format_value
 from .runtime import DeadlockDetected, InvalidTimerValue, ModelError
 from .testkit import (
     FULL,
-    CoverageReport,
     IdentityStatus,
     ScenarioSpec,
     StepVerdict,
@@ -295,26 +295,20 @@ def _describe(value, pair: bool) -> str:
     return format_value(value, strict=False)
 
 
-def _run_transition_suite(cases, deltas, rows, accumulators=None):
-    for table_case in cases:
-        delta = deltas[table_case.machine]
-        verdict = trans_test(delta, table_case.case)
-        if accumulators is not None:
-            accumulators[table_case.machine].record_verdict(verdict.passed)
-        rows.append(_verdict_row("transition", table_case.machine, verdict, True,
-                                 table_case.note))
-
-
-def _run_path_suite(path_cases, deltas, rows, accumulators=None):
+def _suite_rows(table_cases, path_cases, deltas) -> List[dict]:
+    """One report row per transition case, then per path case, each run on
+    its machine's delta in `deltas`.  A path case's row shows its first
+    failing step."""
+    rows = [_verdict_row("transition", table_case.machine,
+                         trans_test(deltas[table_case.machine], table_case.case), True,
+                         table_case.note)
+            for table_case in table_cases]
     for machine, case in path_cases:
-        result = path_test(deltas[machine], case)
-        if isinstance(result, Verdict):
-            verdict = result
-        else:
-            verdict = next((step for step in result if not step.passed), Verdict(case.id, True))
-        if accumulators is not None:
-            accumulators[machine].record_verdict(verdict.passed)
+        verdict = path_test(deltas[machine], case)
+        if not isinstance(verdict, Verdict):
+            verdict = next((step for step in verdict if not step.passed), Verdict(case.id, True))
         rows.append(_verdict_row("path", machine, verdict, case.mode == FULL))
+    return rows
 
 
 def _identity_row(scenario: ScenarioSpec) -> dict:
@@ -335,8 +329,7 @@ def _identity_row(scenario: ScenarioSpec) -> dict:
         row["detail"] = "fairness warning: " + "; ".join(result.warnings)
         return row
 
-    row["status"] = ("inconclusive-horizon"
-                     if result.status is IdentityStatus.INCONCLUSIVE_HORIZON else "fail")
+    row["status"] = result.status.value
     sent = format_value(result.expected, strict=False)
     got = format_value(result.actual, strict=False)
     detail = f"sent {sent}, delivered {got}"
@@ -362,8 +355,7 @@ def _test_scenarios(args) -> Tuple[List[ScenarioSpec], Optional[int]]:
         if not 0 <= args.count <= MAX_TEST_COUNT:
             raise UsageError(f"--count must lie between 0 and {MAX_TEST_COUNT}")
         suite_seed = 0 if args.seed is None else args.seed
-        drop = DEFAULT_DROP if args.drop is None else args.drop
-        horizon = DEFAULT_MAX_HORIZON if args.horizon is None else args.horizon
+        _, horizon, drop = _inline_bounds(args)
         rng = random.Random(f"suite:{suite_seed}")
         for _ in range(args.count):
             scenarios.append(
@@ -392,12 +384,9 @@ def _rows_text(rows, style) -> List[str]:
 
 def cmd_test(args) -> int:
     deltas = {name: binding.delta for name, binding in MACHINES.items()}
-    rows: List[dict] = []
     cases = _load_tables(args)
     scenarios, suite_seed = _test_scenarios(args)
-    _run_transition_suite(cases, deltas, rows)
-    if not args.no_bundled:
-        _run_path_suite(bundled_path_cases(), deltas, rows)
+    rows = _suite_rows(cases, () if args.no_bundled else bundled_path_cases(), deltas)
     rows.extend(_identity_row(scenario) for scenario in scenarios)
 
     passed = sum(1 for row in rows if row["status"] == "pass")
@@ -423,12 +412,12 @@ def cmd_test(args) -> int:
 # ---------------------------------------------------------------- coverage
 
 
-def _coverage_json(report: CoverageReport) -> dict:
+def _coverage_json(report, passes: int, fails: int) -> dict:
     return {
         "covered": sorted(report.covered),
         "uncovered": sorted(report.uncovered),
         "classes": dict(sorted(report.class_coverage.items())),
-        "verdicts": {"pass": report.verdict_counts[0], "fail": report.verdict_counts[1]},
+        "verdicts": {"pass": passes, "fail": fails},
         "unclassified": report.unclassified,
     }
 
@@ -444,11 +433,9 @@ def cmd_coverage(args) -> int:
     for name, binding in MACHINES.items():
         deltas[name], accumulators[name] = instrument(binding.delta, binding.catalog)
 
-    rows: List[dict] = []
-    _run_transition_suite(_load_tables(args), deltas, rows, accumulators)
-    if not args.no_bundled:
-        _run_path_suite(bundled_path_cases(), deltas, rows, accumulators)
-
+    rows = _suite_rows(_load_tables(args), () if args.no_bundled else bundled_path_cases(),
+                       deltas)
+    verdicts = Counter((row["machine"], row["status"]) for row in rows)
     reports = {name: accumulators[name].report(MACHINES[name].catalog) for name in MACHINES}
     failed_cases = sum(1 for row in rows if row["status"] != "pass")
     incomplete = [name for name in required if not reports[name].complete]
@@ -458,7 +445,9 @@ def cmd_coverage(args) -> int:
             "meta": _meta(extra={"required": sorted(required)}),
             "wires": [],
             "verdicts": rows,
-            "coverage": {name: _coverage_json(report) for name, report in reports.items()},
+            "coverage": {name: _coverage_json(report, verdicts[name, "pass"],
+                                              verdicts[name, "fail"])
+                         for name, report in reports.items()},
         }
         text = _json_text(doc)
     else:
@@ -474,8 +463,8 @@ def cmd_coverage(args) -> int:
             hits = ", ".join(f"{cls}={count}"
                              for cls, count in sorted(report.class_coverage.items()))
             lines.append(f"  class hits: {hits}")
-            passes, fails = report.verdict_counts
-            lines.append(f"  case verdicts: {passes} pass, {fails} fail")
+            lines.append(f"  case verdicts: {verdicts[name, 'pass']} pass, "
+                         f"{verdicts[name, 'fail']} fail")
             if report.unclassified:
                 lines.append(f"  unclassified steps: {report.unclassified} (test smell)")
         if failed_cases:

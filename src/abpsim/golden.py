@@ -42,7 +42,6 @@ from .testkit import (
 
 @dataclass(frozen=True)
 class MachineBinding:
-    name: str
     delta: Delta
     catalog: TransitionCatalog
 
@@ -136,9 +135,9 @@ RECEIVER_CATALOG = TransitionCatalog(
 )
 
 MACHINES: Dict[str, MachineBinding] = {
-    "sender": MachineBinding("sender", _sender_table_delta, SENDER_CATALOG),
-    "medium": MachineBinding("medium", lift_timed(medium_delta), MEDIUM_CATALOG),
-    "receiver": MachineBinding("receiver", receiver_delta_tagged, RECEIVER_CATALOG),
+    "sender": MachineBinding(_sender_table_delta, SENDER_CATALOG),
+    "medium": MachineBinding(lift_timed(medium_delta), MEDIUM_CATALOG),
+    "receiver": MachineBinding(receiver_delta_tagged, RECEIVER_CATALOG),
 }
 
 BUNDLED_TABLE_NAMES = ("sender", "receiver", "medium")

@@ -345,7 +345,6 @@ class NetworkRun:
 
     wire_order: Tuple[str, ...]
     slots: Dict[str, List[tuple]]
-    horizon: int
 
 
 # A slot step: (state, one payload tuple per input port) -> (state, one
@@ -500,4 +499,4 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
 
     for wire_history in history.values():
         del wire_history[slots:]
-    return NetworkRun(spec.wire_order, history, slots)
+    return NetworkRun(spec.wire_order, history)

@@ -122,9 +122,9 @@ def trans_test(delta: Delta, case: TransitionCase) -> Verdict:
     expected = (case.expected_state, case.expected_outputs)
     try:
         state, outputs = delta(case.start_state, case.input)
+        actual = (state, tuple(outputs))
     except Exception as exc:
         return Verdict(case.id, False, expected=expected, error=f"{type(exc).__name__}: {exc}")
-    actual = (state, tuple(outputs))
     return Verdict(case.id, actual == expected, expected=expected, actual=actual)
 
 
@@ -143,6 +143,7 @@ def path_test(delta: Delta, case: PathCase):
     for index, item in enumerate(case.inputs):
         try:
             state, outputs = delta(state, item)
+            outputs = tuple(outputs)
         except Exception as exc:
             cause = f"{type(exc).__name__}: {exc}"
             if case.mode == OUTPUTS_ONLY:
@@ -155,7 +156,6 @@ def path_test(delta: Delta, case: PathCase):
                             after_divergence=diverged, error=cause)
             )
             return tuple(verdicts)
-        outputs = tuple(outputs)
         collected.extend(outputs)
         if case.mode == FULL:
             ok = (state, outputs) == case.expectation[index]
@@ -248,7 +248,6 @@ class CoverageReport:
     covered: frozenset
     uncovered: frozenset
     class_coverage: Dict[str, int]
-    verdict_counts: Tuple[int, int]
     unclassified: int
     unclassified_examples: Tuple[str, ...]
 
@@ -264,22 +263,6 @@ class CoverageAccumulator:
     transitions: Counter = field(default_factory=Counter)
     classes: Counter = field(default_factory=Counter)
     unmatched: Counter = field(default_factory=Counter)
-    passes: int = 0
-    failures: int = 0
-
-    def record_step(self, entry_id: Optional[str], class_id: Optional[str], step_repr: str):
-        if entry_id is None:
-            self.unmatched[step_repr] += 1
-        else:
-            self.transitions[entry_id] += 1
-        if class_id is not None:
-            self.classes[class_id] += 1
-
-    def record_verdict(self, passed: bool):
-        if passed:
-            self.passes += 1
-        else:
-            self.failures += 1
 
     def report(self, catalog: TransitionCatalog) -> CoverageReport:
         ids = catalog.ids()
@@ -289,7 +272,6 @@ class CoverageAccumulator:
             covered=covered,
             uncovered=ids - covered,
             class_coverage={cid: self.classes.get(cid, 0) for cid in catalog.classes},
-            verdict_counts=(self.passes, self.failures),
             unclassified=sum(self.unmatched.values()),
             unclassified_examples=tuple(sorted(self.unmatched)[:5]),
         )
@@ -304,7 +286,12 @@ def instrument(delta: Delta, catalog: TransitionCatalog) -> Tuple[Delta, Coverag
     def instrumented(state, item):
         entry_id = catalog.classify(state, item)
         class_id = catalog.class_of(state)
-        accumulator.record_step(entry_id, class_id, f"({state!r}, {item!r})")
+        if entry_id is None:
+            accumulator.unmatched[f"({state!r}, {item!r})"] += 1
+        else:
+            accumulator.transitions[entry_id] += 1
+        if class_id is not None:
+            accumulator.classes[class_id] += 1
         return delta(state, item)
 
     return instrumented, accumulator
@@ -494,16 +481,16 @@ def scenario_digest(scenario: ScenarioSpec) -> str:
 _HORIZON_CONFIDENCE = 1e-6
 
 
-def generate_scenario(seed: int, bounds: Tuple[int, int, float] = (10, 10_000, 0.5), *,
-                      timeout: int = RESEND_TIMEOUT) -> ScenarioSpec:
+def generate_scenario(seed: int,
+                      bounds: Tuple[int, int, float] = (10, 10_000, 0.5)) -> ScenarioSpec:
     """Deterministically derive a random scenario from a seed.
 
     bounds = (max payloads, max horizon, max drop probability).  Both media
     get independent Bernoulli oracles with drop probability drawn up to the
     bound.  The horizon is sized so that every payload has at least
     ceil(log(1e-6) / log(1 - pass_both)) end-to-end attempts available,
-    each costing at most timeout + 2 slots; the payload count is clamped so
-    this never exceeds the horizon bound.
+    each costing at most RESEND_TIMEOUT + 2 slots; the payload count is
+    clamped so this never exceeds the horizon bound.
     """
     max_payloads, max_horizon, drop_bound = bounds
     if max_payloads < 0:
@@ -521,7 +508,7 @@ def generate_scenario(seed: int, bounds: Tuple[int, int, float] = (10, 10_000, 0
         attempts = 1
     else:
         attempts = max(1, math.ceil(math.log(_HORIZON_CONFIDENCE) / math.log(1.0 - pass_both)))
-    per_message = (timeout + 2) * attempts
+    per_message = (RESEND_TIMEOUT + 2) * attempts
 
     cap = min(max_payloads, max_horizon // per_message)
     count = rng.randint(1, cap) if cap >= 1 else 0
@@ -540,7 +527,6 @@ def generate_scenario(seed: int, bounds: Tuple[int, int, float] = (10, 10_000, 0
         horizon=horizon,
         data_oracle=data_oracle,
         ack_oracle=ack_oracle,
-        timeout=timeout,
         seed=seed,
     )
 

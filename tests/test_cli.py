@@ -317,11 +317,10 @@ def test_failing_path_rows_describe_what_their_mode_compares():
                                   expectation=expectation)
 
     wrong_outputs = (MsgO((True, 4)), SetTimer(3))
-    rows = []
-    cli._run_path_suite(
-        [case(STATES_ONLY, [(True, (4,))]), case(OUTPUTS_ONLY, wrong_outputs),
-         case(FULL, [((True, (4,)), wrong_outputs)])],
-        {"sender": MACHINES["sender"].delta}, rows)
+    rows = cli._suite_rows(
+        [], [case(STATES_ONLY, [(True, (4,))]), case(OUTPUTS_ONLY, wrong_outputs),
+             case(FULL, [((True, (4,)), wrong_outputs)])],
+        {"sender": MACHINES["sender"].delta})
     assert [row["detail"] for row in rows] == [
         "step 0: expected [true,[4]]; actual [true,[3]]",
         "expected [MsgO(true,4),SetTimer(3)]; actual   [MsgO(true,3),SetTimer(3)]",
@@ -389,6 +388,29 @@ def test_coverage_failing_case_exits_1_even_when_complete(tmp_path, capsys):
     code, out, _ = run_cmd(capsys, "coverage", "--tables", str(path))
     assert code == 1
     assert "1 case(s) failed" in out
+
+
+def test_coverage_counts_case_verdicts_per_machine(tmp_path, capsys):
+    table = [{
+        "id": "lies", "machine": "sender", "start": "[true,[]]", "input": "true",
+        "expectState": "[false,[]]", "expectOutputs": "[]",
+    }]
+    path = tmp_path / "lies.json"
+    path.write_text(json.dumps(table))
+    code, out, _ = run_cmd(capsys, "coverage", "--tables", str(path), "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    for machine, coverage in doc["coverage"].items():
+        statuses = [row["status"] for row in doc["verdicts"] if row["machine"] == machine]
+        assert coverage["verdicts"] == {"pass": statuses.count("pass"),
+                                        "fail": statuses.count("fail")}
+    sender = doc["coverage"]["sender"]["verdicts"]
+    assert sender["fail"] == 1 and sender["pass"] > 0
+    assert doc["coverage"]["medium"]["verdicts"]["fail"] == 0
+
+    code, out, _ = run_cmd(capsys, "coverage", "--tables", str(path))
+    assert code == 1
+    assert f"\n  case verdicts: {sender['pass']} pass, 1 fail\n" in out
 
 
 # ---------------------------------------------------------------- generate

@@ -111,6 +111,18 @@ def test_path_test_stops_on_a_raising_delta():
     assert not verdict.passed and "RuntimeError" in verdict.error
 
 
+@pytest.mark.parametrize("run", [
+    lambda delta: trans_test(delta, TransitionCase("c", 0, 1, 0, ())),
+    lambda delta: path_test(delta, PathCase("c", 0, (1,), FULL, ((0, ()),)))[-1],
+    lambda delta: path_test(delta, PathCase("c", 0, (1,), STATES_ONLY, (0,)))[-1],
+    lambda delta: path_test(delta, PathCase("c", 0, (1,), OUTPUTS_ONLY, ())),
+], ids=["trans_test", FULL, STATES_ONLY, OUTPUTS_ONLY])
+def test_testers_fold_non_iterable_outputs_into_a_failing_verdict(run):
+    verdict = run(lambda state, item: (state, 5))
+    assert not verdict.passed
+    assert verdict.error.startswith("TypeError: ")
+
+
 def test_path_case_validates_its_shape():
     with pytest.raises(ValueError):
         PathCase("bad", 0, ("inc",), "sideways", (1,))
@@ -206,11 +218,22 @@ def test_report_completes_once_every_entry_fires():
     wrapped, acc = instrument(stepper, toy_catalog())
     for state, item in [(0, "inc"), (1, "inc"), (2, "noop")]:
         wrapped(state, item)
-    acc.record_verdict(True)
-    acc.record_verdict(False)
     report = acc.report(toy_catalog())
     assert report.complete
-    assert report.verdict_counts == (1, 1)
+    assert report.unclassified == 0
+
+
+def test_instrument_records_nothing_for_a_step_it_cannot_classify():
+    # The step matches one entry, but its state lies in two classes.
+    sloppy = TransitionCatalog(
+        "sloppy",
+        classes={"all": lambda s: True, "even": lambda s: s % 2 == 0},
+        entries=[CatalogEntry("a", "all", "all", lambda i: i == "inc")],
+    )
+    wrapped, acc = instrument(stepper, sloppy)
+    with pytest.raises(ClassificationError):
+        wrapped(2, "inc")
+    assert (acc.transitions, acc.classes, acc.unmatched) == (Counter(), Counter(), Counter())
 
 
 # ---------------------------------------------------- boundary-interior paths
