@@ -104,8 +104,11 @@ def _wires_json(wires) -> List[dict]:
 
 def _emit(text: str, out_path: Optional[str]):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"--out {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -6,12 +6,14 @@ everything the hand-written models are executed against: machine execution
 over input sequences, lifting untimed machines to tick-aware ones, timer
 attachment, slot-synchronous channel merge/demux, and ``run_network``, the
 deterministic per-slot evaluator of component networks with feedback wires.
-Timed streams are read slot by slot (``TimedStream.slots``).  A delta sees
-the paper's Msg/Tick items, one slot's messages and then its tick; the
-deltas ``lift_timed`` and ``attach_timer`` return also carry a *slot form*,
+Timed streams are read slot by slot (``TimedStream.slots``).  Each wrapper,
+``lift_timed`` and ``attach_timer``, is written once, as a *slot rule*
 (state, one slot's payloads) -> (state, output payloads), which
-``run_network`` calls once per slot instead.  A slot form must agree with
-its item form fed the slot's messages and then one tick.
+``run_network`` calls once per slot.  The paper's Msg/Tick item form, the
+delta the wrapper returns, is derived from that rule: a message is a slot
+of one payload with no tick, and a tick is an empty slot.  Any other
+tick-aware delta reaches ``run_network`` through one generic adapter,
+which feeds it the slot's messages and then one tick.
 
 Timer semantics (fixed here, relied on everywhere else): ``SetTimer n``
 arms a countdown of n ticks; each subsequent tick decrements; the timeout
@@ -109,29 +111,38 @@ def run_machine(start, delta: Delta, inputs: Iterable[Any]):
     return state, tuple(collected)
 
 
+def _timed(rule: Callable[..., Tuple[Any, tuple]]) -> Delta:
+    """The Msg/Tick item form of a slot rule ``(state, payloads, tick=True)
+    -> (state, output payloads)``: ``Msg(p)`` is the slot ``(p,)`` with no
+    tick, and ``Tick`` the empty slot with its tick, outputs boxed in Msg and
+    the tick emitted last.  The rule rides along as the item form's slot
+    form, which `run_network` calls with the tick."""
+
+    def timed(state, item):
+        if item is Tick:
+            state, outputs = rule(state, ())
+            return state, (*map(Msg, outputs), Tick)
+        state, outputs = rule(state, (item.payload,), False)
+        return state, tuple(map(Msg, outputs))
+
+    timed._slot_form = rule
+    return timed
+
+
 def lift_timed(delta: Delta) -> Delta:
     """Make an untimed machine tick-aware: ticks pass through unchanged
     (state untouched), messages run the inner machine with Msg wrapping.
 
-    The returned delta carries a slot form, used by `run_network`: (state,
-    one slot's payloads) -> (state, output payloads), running the inner
-    machine on each payload with no Msg boxing."""
+    Its slot rule runs the inner machine on each payload in order."""
 
-    def timed(state, item):
-        if item is Tick:
-            return state, (Tick,)
-        new_state, outputs = delta(state, item.payload)
-        return new_state, tuple(Msg(o) for o in outputs)
-
-    def slot_form(state, payloads):
+    def rule(state, payloads, tick=True):
         produced: List[Any] = []
         for payload in payloads:
             state, outputs = delta(state, payload)
             produced += outputs
         return state, tuple(produced)
 
-    timed._slot_form = slot_form
-    return timed
+    return _timed(rule)
 
 
 def attach_timer(delta: Delta) -> Delta:
@@ -139,15 +150,12 @@ def attach_timer(delta: Delta) -> Delta:
     tick-aware machine owning a countdown timer.
 
     State becomes ``(inner state, counter)`` with counter -1 when disabled.
-    On a message, inner outputs are emitted in order; each SetTimer is
-    absorbed into the counter (last one wins).  On a tick, the counter is
-    decremented; when it would hit zero the inner machine receives
-    TimeoutEvent within the same slot, its outputs are processed the same
-    way, and the tick is emitted last.
-
-    The returned delta carries a slot form, used by `run_network`: (state,
-    one slot's payloads) -> (state, output payloads), feeding MsgI(p) for
-    each payload and then applying the same tick rule.
+    Its slot rule feeds MsgI(p) for each payload; inner outputs are emitted
+    in order, and each SetTimer is absorbed into the counter (last one
+    wins).  Then, on the slot's tick, the counter is decremented; when it
+    would hit zero the inner machine receives TimeoutEvent within the same
+    slot, its outputs are processed the same way, and the tick is emitted
+    last.
     """
 
     def absorb(inner_outputs, counter, emitted):
@@ -163,34 +171,21 @@ def attach_timer(delta: Delta) -> Delta:
                 raise ModelError(f"timer machine produced {out!r}, expected MsgO or SetTimer")
         return counter
 
-    def tick(state, counter, emitted):
-        if counter >= 2:
-            return state, counter - 1
-        if counter == 1:
-            state, inner_outputs = delta(state, TimeoutEvent)
-            return state, absorb(inner_outputs, DISABLED, emitted)
-        return state, counter
-
-    def timed(state_counter, item):
-        state, counter = state_counter
-        emitted: List[Any] = []
-        if item is Tick:
-            state_counter = tick(state, counter, emitted)
-            return state_counter, tuple(map(Msg, emitted)) + (Tick,)
-        state, inner_outputs = delta(state, MsgI(item.payload))
-        counter = absorb(inner_outputs, counter, emitted)
-        return (state, counter), tuple(map(Msg, emitted))
-
-    def slot_form(state_counter, payloads):
+    def rule(state_counter, payloads, tick=True):
         state, counter = state_counter
         emitted: List[Any] = []
         for payload in payloads:
             state, inner_outputs = delta(state, MsgI(payload))
             counter = absorb(inner_outputs, counter, emitted)
-        return tick(state, counter, emitted), tuple(emitted)
+        if tick:
+            if counter >= 2:
+                counter -= 1
+            elif counter == 1:
+                state, inner_outputs = delta(state, TimeoutEvent)
+                counter = absorb(inner_outputs, DISABLED, emitted)
+        return (state, counter), tuple(emitted)
 
-    timed._slot_form = slot_form
-    return timed
+    return _timed(rule)
 
 
 def _merge_slot(slot_a: tuple, slot_b: tuple) -> tuple:
@@ -357,34 +352,21 @@ def _item_slot_form(delta: Delta, name: str) -> Callable[[Any, Sequence[Any]], T
     messages and then one tick are fed to the delta, and its outputs must
     hold exactly one tick, last."""
 
-    def tick_error(produced):
-        ticks = sum(1 for item in produced if item is Tick)
-        return ModelError(
-            f"component {name!r} emitted {ticks} tick(s) in one slot; expected exactly one, last"
-        )
-
     def slot_form(state, payloads):
-        produced: List[Any] = []
-        for payload in payloads:
-            state, outputs = delta(state, Msg(payload))
-            produced += outputs
-        state, outputs = delta(state, Tick)
-        produced += outputs
-        if not produced or produced[-1] is not Tick:
-            raise tick_error(produced)
-        emitted = []
-        for item in produced[:-1]:
-            if item is Tick:
-                raise tick_error(produced)
-            emitted.append(item.payload)
-        return state, tuple(emitted)
+        state, produced = run_machine(state, delta, [*map(Msg, payloads), Tick])
+        ticks = sum(1 for item in produced if item is Tick)
+        if ticks != 1 or produced[-1] is not Tick:
+            raise ModelError(
+                f"component {name!r} emitted {ticks} tick(s) in one slot; expected exactly one, last"
+            )
+        return state, tuple(item.payload for item in produced[:-1])
 
     return slot_form
 
 
 def _slot_step(comp: _Component) -> SlotStep:
-    """Adapt a component's delta into a slot step: its slot form (the one
-    `lift_timed`/`attach_timer` attach, else `_item_slot_form`) applied to
+    """Adapt a component's delta into a slot step: its slot form (the slot
+    rule of `lift_timed`/`attach_timer`, else `_item_slot_form`) applied to
     the slot's payloads, merged by `_merge_slot` when there are two inputs,
     and with two output ports the output split by `_demux_slot`."""
     slot_form = getattr(comp.delta, "_slot_form", None) or _item_slot_form(comp.delta, comp.name)
@@ -404,7 +386,7 @@ def _slot_step(comp: _Component) -> SlotStep:
 def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int) -> NetworkRun:
     """Evaluate the network over the first `slots` slots and record every
     wire's history.  Identical spec, inputs and slot count give identical
-    histories.
+    histories; a negative slot count raises ValueError.
 
     Each round every external wire is fed one slot, then every component
     takes one step, in topological order of the initializer-broken wiring
@@ -425,10 +407,13 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
     state that never compares equal to its predecessor just disables the
     shortcut; the histories are the same either way.
     """
-    missing = [w for w in spec.external_wires() if w not in external]
+    if slots < 0:
+        raise ValueError(f"slot count must be >= 0, got {slots}")
+    external_wires = spec.external_wires()
+    missing = [w for w in external_wires if w not in external]
     if missing:
         raise ValueError(f"no stream supplied for external wire(s) {missing}")
-    unknown = [w for w in external if w not in spec.external_wires()]
+    unknown = [w for w in external if w not in external_wires]
     if unknown:
         raise ValueError(f"streams supplied for non-external wire(s) {unknown}")
 

@@ -339,6 +339,21 @@ def test_test_writes_reports_to_a_file(tmp_path, capsys):
     assert "\x1b[" not in text
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--scenario", "single_drop"),
+    ("generate", "--seed", "1"),
+    ("test",),
+    ("coverage",),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("target", ["missing/x.txt", "."], ids=["missing-dir", "directory"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, target):
+    # A path under a missing directory, and a directory itself.
+    out_path = tmp_path / target
+    code, stdout, err = run_cmd(capsys, *argv, "--out", str(out_path))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: --out ") and str(out_path) in err
+
+
 # ---------------------------------------------------------------- coverage
 
 

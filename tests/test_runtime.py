@@ -267,10 +267,15 @@ def test_initialize_accepts_only_msg_and_tick_items(item):
 
 def test_component_must_close_each_slot_with_one_tick():
     swallow = lambda state, item: (state, ())
-    net = NetworkSpec()
-    net.add_machine("bad", None, swallow, inputs=["a"], outputs=["b"])
-    with pytest.raises(ModelError):
-        run_network(net, {"a": inject_ticks([()])}, 1)
+    # No tick; a non-Msg output ahead of two ticks (ticks are counted before
+    # any payload is read); and one tick that is not last.
+    stutter = lambda state, item: (state, ("raw", Tick, Tick) if item is Tick else ())
+    early = lambda state, item: (state, (Tick, Msg("late")) if item is Tick else ())
+    for delta, ticks in ((swallow, 0), (stutter, 2), (early, 1)):
+        net = NetworkSpec()
+        net.add_machine("bad", None, delta, inputs=["a"], outputs=["b"])
+        with pytest.raises(ModelError, match=f"emitted {ticks} tick"):
+            run_network(net, {"a": inject_ticks([()])}, 1)
 
 
 def test_two_output_components_route_by_tag():
@@ -313,6 +318,17 @@ def test_network_rejects_missing_or_unknown_external_streams():
         run_network(net, {}, 1)
     with pytest.raises(ValueError):
         run_network(net, {"a": inject_ticks([()]), "b": inject_ticks([()])}, 1)
+
+
+def test_network_rejects_a_negative_slot_count():
+    calls = []
+    net = NetworkSpec()
+    net.add_machine("fwd", None, _port_forwarder(calls, 1), inputs=["a"], outputs=["b"])
+    net.initialize("b", [Tick] * 3)
+    with pytest.raises(ValueError):
+        run_network(net, {"a": inject_ticks([()])}, -1)
+    assert calls == []
+    assert run_network(net, {"a": inject_ticks([()])}, 0).slots == {"a": [], "b": []}
 
 
 def _port_forwarder(calls, n_outputs):
