@@ -212,10 +212,7 @@ def merge_timed(a: TimedStream, b: TimedStream) -> TimedStream:
     """Slot-synchronous merge: per slot, all of a's messages tagged FromA,
     then all of b's tagged FromB, then one tick.  Runs for as many slots as
     both streams provide."""
-
-    horizons = [h for h in (a.horizon, b.horizon) if h is not None]
-    horizon = min(horizons) if horizons else None
-    return TimedStream(lambda: map(_merge_slot, a.slots(), b.slots()), horizon=horizon)
+    return TimedStream(lambda: map(_merge_slot, a.slots(), b.slots()))
 
 
 def demux_timed(s: TimedStream) -> Tuple[TimedStream, TimedStream]:
@@ -224,8 +221,7 @@ def demux_timed(s: TimedStream) -> Tuple[TimedStream, TimedStream]:
     goes to both."""
 
     def route(port):
-        return TimedStream(lambda: (_demux_slot(slot, "demux saw")[port] for slot in s.slots()),
-                           horizon=s.horizon)
+        return TimedStream(lambda: (_demux_slot(slot, "demux saw")[port] for slot in s.slots()))
 
     return route(0), route(1)
 

@@ -8,7 +8,8 @@ construction.  ``slots()`` is the view the runtime reads, and ``items()``
 is the paper's view derived from it: each slot's payloads as ``Msg``, then
 one ``Tick``.  Conceptually these histories are infinite (the clock never
 stops), so every assertion is made over a bounded observation, such as the
-first `k` slots.
+first `k` slots.  A stream is as long as its producer runs: a finite one
+simply stops, and nothing else records its length.
 
 Two observations of the same stream see the same slots, i.e. ``take_slots``
 is pure.  A raw iterator obtained from a stream is single-consumer; share
@@ -55,16 +56,14 @@ class TimedStream:
 
     ``source`` is a zero-argument callable returning a fresh iterable of
     payload tuples, one per slot; each observation restarts production from
-    the beginning.  ``horizon``, when declared, is the number of slots the
-    producer yields before stopping (the desk-scale stand-in for "infinitely
-    many ticks").
+    the beginning.  The producer alone fixes the stream's length: a finite
+    one is the desk-scale stand-in for "infinitely many ticks".
     """
 
-    __slots__ = ("_source", "horizon")
+    __slots__ = ("_source",)
 
-    def __init__(self, source: Callable[[], Iterable[tuple]], horizon: Optional[int] = None):
+    def __init__(self, source: Callable[[], Iterable[tuple]]):
         self._source = source
-        self.horizon = horizon
 
     def slots(self) -> Iterator[tuple]:
         """A fresh single-use iterator over the stream's payload tuples."""
@@ -76,23 +75,17 @@ class TimedStream:
             yield from map(Msg, slot)
             yield Tick
 
-    def __repr__(self):
-        h = "unbounded" if self.horizon is None else f"horizon={self.horizon}"
-        return f"<TimedStream {h}>"
-
 
 def inject_ticks(slots: Iterable[Iterable[Any]]) -> TimedStream:
     """Build a timed stream from per-slot message lists: each slot holds its
-    messages in order and is closed by one tick. Horizon = number of slots."""
+    messages in order and is closed by one tick."""
     fixed = tuple(tuple(slot) for slot in slots)
-    return TimedStream(lambda: fixed, horizon=len(fixed))
+    return TimedStream(lambda: fixed)
 
 
 def take_slots(s: TimedStream, k: int) -> tuple:
-    """The first `k` slots as payload tuples; raises if `k` exceeds the
-    declared horizon or the producer ends before `k` slots."""
-    if s.horizon is not None and k > s.horizon:
-        raise ValueError(f"requested {k} slots from a stream with horizon {s.horizon}")
+    """The first `k` slots as payload tuples; raises if the producer ends
+    before `k` slots."""
     slots = tuple(itertools.islice(s.slots(), k))
     if len(slots) < k:
         raise ValueError(f"stream ended after {len(slots)} slots, {k} requested")
@@ -103,4 +96,4 @@ def all_ticks(horizon: Optional[int] = None) -> TimedStream:
     """A stream of empty slots; unbounded when no horizon is given."""
     if horizon is None:
         return TimedStream(lambda: itertools.repeat(()))
-    return TimedStream(lambda: itertools.repeat((), horizon), horizon=horizon)
+    return TimedStream(lambda: itertools.repeat((), horizon))

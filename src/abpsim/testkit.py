@@ -137,43 +137,31 @@ def path_test(delta: Delta, case: PathCase):
     executed (the trajectory is gone).
     """
     state = case.start_state
-    collected: List[Any] = []
-    verdicts: List[StepVerdict] = []
-    diverged = False
-    for index, item in enumerate(case.inputs):
+    steps: List[Tuple[Any, tuple]] = []
+    error = None
+    for item in case.inputs:
         try:
             state, outputs = delta(state, item)
-            outputs = tuple(outputs)
+            steps.append((state, tuple(outputs)))
         except Exception as exc:
-            cause = f"{type(exc).__name__}: {exc}"
-            if case.mode == OUTPUTS_ONLY:
-                return Verdict(
-                    case.id, False, expected=case.expectation, actual=tuple(collected), error=cause
-                )
-            expected = case.expectation[index]
-            verdicts.append(
-                StepVerdict(case.id, index, False, expected=expected,
-                            after_divergence=diverged, error=cause)
-            )
-            return tuple(verdicts)
-        collected.extend(outputs)
-        if case.mode == FULL:
-            ok = (state, outputs) == case.expectation[index]
-            verdicts.append(
-                StepVerdict(case.id, index, ok, expected=case.expectation[index],
-                            actual=(state, outputs), after_divergence=diverged)
-            )
-            diverged = diverged or not ok
-        elif case.mode == STATES_ONLY:
-            ok = state == case.expectation[index]
-            verdicts.append(
-                StepVerdict(case.id, index, ok, expected=case.expectation[index],
-                            actual=state, after_divergence=diverged)
-            )
-            diverged = diverged or not ok
+            error = f"{type(exc).__name__}: {exc}"
+            break
     if case.mode == OUTPUTS_ONLY:
-        actual = tuple(collected)
-        return Verdict(case.id, actual == case.expectation, expected=case.expectation, actual=actual)
+        actual = tuple(p for _, outputs in steps for p in outputs)
+        return Verdict(case.id, error is None and actual == case.expectation,
+                       expected=case.expectation, actual=actual, error=error)
+    verdicts: List[StepVerdict] = []
+    diverged = False
+    for index, (step, expected) in enumerate(zip(steps, case.expectation)):
+        actual = step if case.mode == FULL else step[0]
+        ok = actual == expected
+        verdicts.append(StepVerdict(case.id, index, ok, expected=expected, actual=actual,
+                                    after_divergence=diverged))
+        diverged = diverged or not ok
+    if error is not None:
+        verdicts.append(StepVerdict(case.id, len(steps), False,
+                                    expected=case.expectation[len(steps)],
+                                    after_divergence=diverged, error=error))
     return tuple(verdicts)
 
 
@@ -228,10 +216,14 @@ class TransitionCatalog:
         return matches[0] if matches else None
 
     def classify(self, state, item) -> Optional[str]:
+        return self._entry_in(self.class_of(state), state, item)
+
+    def _entry_in(self, source: Optional[str], state, item) -> Optional[str]:
+        """The entry leaving class `source` that the step matches, if any."""
         matches = [
             entry.id
             for entry in self.entries
-            if self.classes[entry.source](state)
+            if entry.source == source
             and entry.input_pattern(item)
             and (entry.guard is None or entry.guard(state, item))
         ]
@@ -249,7 +241,6 @@ class CoverageReport:
     uncovered: frozenset
     class_coverage: Dict[str, int]
     unclassified: int
-    unclassified_examples: Tuple[str, ...]
 
     @property
     def complete(self) -> bool:
@@ -258,11 +249,12 @@ class CoverageReport:
 
 @dataclass
 class CoverageAccumulator:
-    """Mutable tally behind an instrumented delta."""
+    """Mutable tally behind an instrumented delta: steps per catalog entry
+    and per class of the state stepped from.  A step no entry matches, or a
+    state in no class, counts under the key None."""
 
     transitions: Counter = field(default_factory=Counter)
     classes: Counter = field(default_factory=Counter)
-    unmatched: Counter = field(default_factory=Counter)
 
     def report(self, catalog: TransitionCatalog) -> CoverageReport:
         ids = catalog.ids()
@@ -271,9 +263,8 @@ class CoverageAccumulator:
             machine=catalog.machine,
             covered=covered,
             uncovered=ids - covered,
-            class_coverage={cid: self.classes.get(cid, 0) for cid in catalog.classes},
-            unclassified=sum(self.unmatched.values()),
-            unclassified_examples=tuple(sorted(self.unmatched)[:5]),
+            class_coverage={cid: self.classes[cid] for cid in catalog.classes},
+            unclassified=self.transitions[None],
         )
 
 
@@ -284,14 +275,9 @@ def instrument(delta: Delta, catalog: TransitionCatalog) -> Tuple[Delta, Coverag
     accumulator = CoverageAccumulator()
 
     def instrumented(state, item):
-        entry_id = catalog.classify(state, item)
         class_id = catalog.class_of(state)
-        if entry_id is None:
-            accumulator.unmatched[f"({state!r}, {item!r})"] += 1
-        else:
-            accumulator.transitions[entry_id] += 1
-        if class_id is not None:
-            accumulator.classes[class_id] += 1
+        accumulator.transitions[catalog._entry_in(class_id, state, item)] += 1
+        accumulator.classes[class_id] += 1
         return delta(state, item)
 
     return instrumented, accumulator
@@ -389,8 +375,7 @@ class ScenarioSpec:
         """The input wire: the payload slots, then empty slots up to the
         horizon."""
         idle = self.horizon - len(self.payload_slots)
-        return TimedStream(lambda: itertools.chain(self.payload_slots, itertools.repeat((), idle)),
-                           horizon=self.horizon)
+        return TimedStream(lambda: itertools.chain(self.payload_slots, itertools.repeat((), idle)))
 
     def to_dict(self) -> dict:
         data = {

@@ -99,7 +99,7 @@ def test_criterion_2_transition_coverage(acceptance_log):
         assert reports["medium"].complete, sorted(reports["medium"].uncovered)
         assert reports["receiver"].complete, sorted(reports["receiver"].uncovered)
         for name, report in reports.items():
-            assert report.unclassified == 0, (name, report.unclassified_examples)
+            assert report.unclassified == 0, name
 
 
 def test_criterion_3_identity_at_desk_scale(acceptance_log):

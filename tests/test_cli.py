@@ -428,6 +428,29 @@ def test_coverage_counts_case_verdicts_per_machine(tmp_path, capsys):
     assert f"\n  case verdicts: {sender['pass']} pass, 1 fail\n" in out
 
 
+def test_coverage_counts_steps_no_entry_matches_as_unclassified(tmp_path, capsys):
+    # No catalog entry takes a bare payload to the receiver or a tick to the
+    # untimed sender; each row's step is counted before its delta raises.
+    table = [
+        {"id": "bare", "machine": "receiver", "start": "true", "input": "5",
+         "expectState": "true", "expectOutputs": "[]"},
+        {"id": "tick", "machine": "sender", "start": "[true,[]]", "input": "Tick",
+         "expectState": "[true,[]]", "expectOutputs": "[]"},
+    ]
+    path = tmp_path / "unclassified.json"
+    path.write_text(json.dumps(table))
+    argv = ("coverage", "--no-bundled", "--tables", str(path))
+    code, out, _ = run_cmd(capsys, *argv, "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert {name: c["unclassified"] for name, c in doc["coverage"].items()} == {
+        "medium": 0, "receiver": 1, "sender": 1}
+
+    code, out, _ = run_cmd(capsys, *argv)
+    assert code == 1
+    assert out.count("\n  unclassified steps: 1 (test smell)\n") == 2
+
+
 # ---------------------------------------------------------------- generate
 
 

@@ -36,7 +36,6 @@ def test_take_items_is_repeatable():
 @given(slot_lists)
 def test_inject_then_slots_round_trip(slots):
     s = inject_ticks(slots)
-    assert s.horizon == len(slots)
     assert take_slots(s, len(slots)) == tuple(tuple(slot) for slot in slots)
 
 
@@ -65,10 +64,4 @@ def test_all_ticks_bounded_and_unbounded():
     assert take_slots(all_ticks(3), 3) == ((), (), ())
     assert tuple(all_ticks(3).items()) == (Tick, Tick, Tick)
     assert take_slots(all_ticks(), 4) == ((), (), (), ())
-    assert all_ticks(7).horizon == 7
-    assert all_ticks().horizon is None
-
-
-def test_stream_repr_names_the_horizon():
-    assert "horizon=2" in repr(inject_ticks([(), ()]))
-    assert "unbounded" in repr(all_ticks())
+    assert len(tuple(all_ticks(7).slots())) == 7

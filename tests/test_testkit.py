@@ -210,8 +210,19 @@ def test_instrument_records_transitions_and_unmatched_steps():
     assert report.uncovered == frozenset({"noop_even"})
     assert not report.complete
     assert report.unclassified == 1
-    assert len(report.unclassified_examples) == 1
     assert report.class_coverage == {"even": 1, "odd": 2}
+
+
+def test_instrument_counts_the_class_of_the_state_before_the_step():
+    wrapped, acc = instrument(stepper, toy_catalog())
+    wrapped(0, "inc")
+    wrapped(2, "inc")
+    # A step is recorded before the delta runs, so a raising step counts too.
+    with pytest.raises(RuntimeError):
+        wrapped(4, "explode")
+    report = acc.report(toy_catalog())
+    assert report.class_coverage == {"even": 3, "odd": 0}
+    assert report.unclassified == 1
 
 
 def test_report_completes_once_every_entry_fires():
@@ -233,7 +244,7 @@ def test_instrument_records_nothing_for_a_step_it_cannot_classify():
     wrapped, acc = instrument(stepper, sloppy)
     with pytest.raises(ClassificationError):
         wrapped(2, "inc")
-    assert (acc.transitions, acc.classes, acc.unmatched) == (Counter(), Counter(), Counter())
+    assert (acc.transitions, acc.classes) == (Counter(), Counter())
 
 
 # ---------------------------------------------------- boundary-interior paths
@@ -344,7 +355,7 @@ def test_scenario_payloads_and_input_stream():
     scenario = small_scenario()
     assert scenario.payloads() == (1, 2)
     stream = scenario.input_stream()
-    assert stream.horizon == 12
+    assert len(tuple(stream.slots())) == 12
     from abpsim import take_slots
     assert take_slots(stream, 4) == ((1,), (), (2,), ())
 
