@@ -148,6 +148,14 @@ POSITIVE_SCENARIO_NAMES = ("all_pass", "single_drop")
 
 
 def parse_table(doc: Any, source: str = "<table>") -> List[TableCase]:
+    """The cases of one table document (a list of records, or an object
+    whose ``cases`` is one); a malformed document is a ValueError naming
+    `source`, the case and the field.
+
+    Each distinct literal text is parsed once per document: tables draw
+    their states, inputs and outputs from a small alphabet, and every parsed
+    value is immutable, so cases may share one value object.
+    """
     if isinstance(doc, dict):
         records = doc.get("cases")
         if not isinstance(records, list):
@@ -157,6 +165,11 @@ def parse_table(doc: Any, source: str = "<table>") -> List[TableCase]:
     else:
         raise ValueError(f"{source}: table document must be a JSON object or list")
 
+    # Literal text -> parsed value, for successful parses only: a failure is
+    # never stored, and a non-string field (which parse_value rejects) is
+    # never a key.
+    parsed: Dict[str, Any] = {}
+    first_index: Dict[str, int] = {}
     cases = []
     for index, record in enumerate(records):
         if not isinstance(record, dict):
@@ -169,6 +182,14 @@ def parse_table(doc: Any, source: str = "<table>") -> List[TableCase]:
             if key not in ("id", "machine", "start", "input", "expectState",
                            "expectOutputs", "note", "comment"):
                 raise ValueError(f"{source}: case {label!r}: unknown field {key!r}")
+        for key in ("id", "note", "comment"):
+            if key in record and not isinstance(record[key], str):
+                raise ValueError(f"{source}: case {label!r}: field {key!r}: must be a string, "
+                                 f"not {type(record[key]).__name__}")
+        first = first_index.setdefault(label, index)
+        if first != index:
+            raise ValueError(f"{source}: case {label!r}: duplicate id "
+                             f"(records {first} and {index})")
         machine = record["machine"]
         if not isinstance(machine, str) or machine not in MACHINES:
             raise ValueError(
@@ -177,10 +198,15 @@ def parse_table(doc: Any, source: str = "<table>") -> List[TableCase]:
             )
 
         def read(key):
+            text = record[key]
+            if isinstance(text, str) and text in parsed:
+                return parsed[text]
             try:
-                return parse_value(record[key])
+                value = parse_value(text)
             except ValueError as exc:
                 raise ValueError(f"{source}: case {label!r}: field {key!r}: {exc}") from None
+            parsed[text] = value
+            return value
 
         outputs = read("expectOutputs")
         if not isinstance(outputs, tuple):
@@ -191,13 +217,13 @@ def parse_table(doc: Any, source: str = "<table>") -> List[TableCase]:
             TableCase(
                 machine=machine,
                 case=TransitionCase(
-                    id=str(record["id"]),
+                    id=label,
                     start_state=read("start"),
                     input=read("input"),
                     expected_state=read("expectState"),
                     expected_outputs=outputs,
                 ),
-                note=str(record.get("note", record.get("comment", ""))),
+                note=record.get("note", record.get("comment", "")),
             )
         )
     return cases

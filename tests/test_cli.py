@@ -240,8 +240,9 @@ def test_test_rejects_unparseable_table_files(tmp_path, capsys):
     assert run_cmd(capsys, "test", "--tables", str(path))[0] == 2
 
 
-@pytest.mark.parametrize("field,value", [("start", 5), ("machine", ["x"])],
-                         ids=["start-int", "machine-list"])
+@pytest.mark.parametrize("field,value", [("start", 5), ("machine", ["x"]), ("id", 1),
+                                         ("note", {"a": 1}), ("comment", 5)],
+                         ids=["start-int", "machine-list", "id-int", "note-dict", "comment-int"])
 def test_test_rejects_malformed_table_fields(tmp_path, capsys, field, value):
     record = {"id": "bad", "machine": "sender", "start": "[true,[]]", "input": "3",
               "expectState": "[true,[3]]", "expectOutputs": "[]"}
@@ -251,6 +252,23 @@ def test_test_rejects_malformed_table_fields(tmp_path, capsys, field, value):
     code, _, err = run_cmd(capsys, "test", "--tables", str(path))
     assert code == 2
     assert err.startswith("error: ") and f"field '{field}'" in err
+
+
+def test_test_rejects_duplicate_ids_within_a_table(tmp_path, capsys):
+    record = {"id": "twice", "machine": "sender", "start": "[true,[]]", "input": "3",
+              "expectState": "[true,[3]]", "expectOutputs": "[MsgO(true,3),SetTimer(3)]"}
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps([record, record]))
+    code, out, err = run_cmd(capsys, "test", "--tables", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "'twice': duplicate id (records 0 and 1)" in err
+
+
+def test_test_accepts_ids_repeated_across_table_files(capsys):
+    path = str(Path(cli.__file__).parent / "tables" / "sender.json")
+    code, out, _ = run_cmd(capsys, "test", "--no-bundled", "--tables", path, path)
+    assert code == 0
+    assert "16 passed, 0 failed of 16 cases" in out
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--drop", "0.1"),

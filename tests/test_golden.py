@@ -1,15 +1,27 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from abpsim import ModelError, MsgO, OracleSpec, ScenarioSpec, SetTimer, parse_table
+from abpsim import (
+    ModelError,
+    MsgO,
+    OracleSpec,
+    ScenarioSpec,
+    SetTimer,
+    TransitionCase,
+    parse_table,
+    parse_value,
+)
+from abpsim import golden
 from abpsim.golden import (
     BUNDLED_SCENARIO_NAMES,
     BUNDLED_TABLE_NAMES,
     MACHINES,
     POSITIVE_SCENARIO_NAMES,
+    TableCase,
     bundled_scenario,
     bundled_table,
     bundled_tables,
@@ -85,12 +97,97 @@ def test_parse_table_keeps_notes():
     ([sender_record(expectOutputs=["MsgO(true,3)"])], "case 's_demo': field 'expectOutputs'"),
     ([sender_record(machine=["sender"])], "case 's_demo': field 'machine'"),
     ([sender_record(machine={"name": "sender"})], "case 's_demo': field 'machine'"),
+    ([sender_record(id=1)], "case 1: field 'id': must be a string"),
+    ([sender_record(note={"a": 1})], "case 's_demo': field 'note': must be a string"),
+    ([sender_record(comment=["x"])], "case 's_demo': field 'comment': must be a string"),
+    ([sender_record(), sender_record(input="4")], "case 's_demo': duplicate id (records 0 and 1)"),
+    ([sender_record(), sender_record(id="x"), sender_record()], "(records 0 and 2)"),
 ])
 def test_parse_table_rejects_malformed_documents(doc, fragment):
     with pytest.raises(ValueError) as err:
         parse_table(doc, source="unit")
     assert fragment in str(err.value)
     assert "unit" in str(err.value)
+
+
+# ------------------------------------------------- one parse per literal
+
+def test_parse_table_parses_each_distinct_literal_once(monkeypatch):
+    calls = Counter()
+
+    def counting_parse_value(text):
+        calls[text] += 1
+        return parse_value(text)
+
+    monkeypatch.setattr(golden, "parse_value", counting_parse_value)
+    doc = [sender_record(id=f"s{i}") for i in range(3)] + [sender_record(
+        id="s3", start="[true,[3]]", expectState="[true,[3,3]]", expectOutputs="[]")]
+    cases = parse_table(doc)
+    assert calls == Counter({"[true,[]]": 1, "3": 1, "[true,[3]]": 1,
+                             "[MsgO(true,3),SetTimer(3)]": 1, "[true,[3,3]]": 1, "[]": 1})
+    assert cases[0].case.expected_outputs is cases[2].case.expected_outputs
+    # The memo lives for one call: parsing the document again parses again.
+    assert parse_table(doc) == cases
+    assert set(calls.values()) == {2}
+
+
+def parse_table_per_field(records, source):
+    """What parse_table gives for records with unique string ids and known
+    machines, calling parse_value once for every field it reads."""
+    cases = []
+    for record in records:
+        label = record["id"]
+        values = {}
+        for key in ("expectOutputs", "start", "input", "expectState"):
+            try:
+                values[key] = parse_value(record[key])
+            except ValueError as exc:
+                raise ValueError(f"{source}: case {label!r}: field {key!r}: {exc}") from None
+            if key == "expectOutputs" and not isinstance(values[key], tuple):
+                raise ValueError(f"{source}: case {label!r}: field 'expectOutputs': "
+                                 "must be a sequence literal")
+        cases.append(TableCase(record["machine"], TransitionCase(
+            label, values["start"], values["input"], values["expectState"],
+            values["expectOutputs"])))
+    return cases
+
+
+# Texts are drawn with replacement, so that they repeat within and across
+# records. "1" and "true" (and "[1]" and "[true]", ...) are equal values but
+# different texts. Bad values are spliced in at drawn places, so that most
+# tables get past their first record before one is met.
+valid_literals = st.sampled_from(
+    ["1", "true", "0", "false", "3", "[1]", "[true]", "[true,[1]]", "[true,[true]]",
+     "[true,[]]", "Tick", "Timeout", "Oracle([true],0)", "[MsgO(true,3),SetTimer(3)]"]
+)
+sequence_literals = st.sampled_from(
+    ["[]", "[1]", "[true]", "[0]", "[false]", "[MsgO(true,3),SetTimer(3)]"]
+)
+bad_literals = st.sampled_from(["Msg(", "[1,", "@", "", 5, True, None, ["3"], {"a": "1"}])
+repeating_tables = st.lists(st.fixed_dictionaries(
+    {"machine": st.sampled_from(sorted(MACHINES)), "start": valid_literals,
+     "input": valid_literals, "expectState": valid_literals,
+     "expectOutputs": sequence_literals | valid_literals},
+), max_size=8)
+bad_fields = st.lists(st.tuples(
+    st.integers(0, 3), st.sampled_from(["start", "input", "expectState", "expectOutputs"]),
+    bad_literals), max_size=2)
+
+
+def outcome(parse, records):
+    try:
+        return repr(parse(records, "unit"))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(repeating_tables, bad_fields)
+def test_parse_table_agrees_with_one_parse_per_field(records, bad):
+    records = [dict(record, id=f"c{index}") for index, record in enumerate(records)]
+    for index, key, value in bad:
+        if index < len(records):
+            records[index][key] = value
+    assert outcome(parse_table, records) == outcome(parse_table_per_field, records)
 
 
 def test_load_table_file_round_trips(tmp_path):
