@@ -16,7 +16,6 @@ state is its oracle cursor.  Signed messages are ``(bit, payload)`` pairs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .runtime import (
@@ -31,7 +30,7 @@ from .runtime import (
     attach_timer,
     lift_timed,
 )
-from .streams import Tick
+from .streams import Tick, _Value
 
 # Slots the sender waits for an acknowledgement before resending.
 RESEND_TIMEOUT = 3
@@ -43,8 +42,7 @@ class OracleExhausted(Exception):
     """An explicit finite oracle ran out of bits."""
 
 
-@dataclass(frozen=True)
-class OracleSpec:
+class OracleSpec(_Value):
     """A medium behavior prediction stream, in one of three finite forms.
 
     explicit  -- a fixed bit list, error past the end;
@@ -54,10 +52,14 @@ class OracleSpec:
     Each form reduces to a pure cursor, so medium runs replay exactly.
     """
 
-    kind: str
-    bits: Tuple[bool, ...] = ()
-    pass_probability: float = 1.0
-    seed: int = 0
+    __slots__ = ("kind", "bits", "pass_probability", "seed")
+
+    def __init__(self, kind: str, bits: Tuple[bool, ...] = (), pass_probability: float = 1.0,
+                 seed: int = 0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "pass_probability", pass_probability)
+        object.__setattr__(self, "seed", seed)
 
     @classmethod
     def explicit(cls, bits) -> "OracleSpec":
@@ -136,13 +138,15 @@ class OracleSpec:
         return None
 
 
-@dataclass(frozen=True)
-class OracleCursor:
+class OracleCursor(_Value):
     """Pure read position into an oracle: consuming a bit returns the next
     cursor rather than mutating."""
 
-    spec: OracleSpec
-    position: int
+    __slots__ = ("spec", "position")
+
+    def __init__(self, spec: OracleSpec, position: int):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "position", position)
 
     def next_bit(self) -> Tuple[bool, "OracleCursor"]:
         return self.spec.bit_at(self.position), OracleCursor(self.spec, self.position + 1)

@@ -11,8 +11,7 @@ timer event.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
+import os
 from typing import Any, Dict, List, Tuple
 
 from .abp import OracleCursor, medium_delta, receiver_delta_tagged, sender_delta
@@ -28,7 +27,7 @@ from .runtime import (
     TimeoutEvent,
     lift_timed,
 )
-from .streams import Msg, Tick
+from .streams import Msg, Tick, _Value
 from .testkit import (
     OUTPUTS_ONLY,
     STATES_ONLY,
@@ -40,17 +39,21 @@ from .testkit import (
 )
 
 
-@dataclass(frozen=True)
-class MachineBinding:
-    delta: Delta
-    catalog: TransitionCatalog
+class MachineBinding(_Value):
+    __slots__ = ("delta", "catalog")
+
+    def __init__(self, delta: Delta, catalog: TransitionCatalog):
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "catalog", catalog)
 
 
-@dataclass(frozen=True)
-class TableCase:
-    machine: str
-    case: TransitionCase
-    note: str = ""
+class TableCase(_Value):
+    __slots__ = ("machine", "case", "note")
+
+    def __init__(self, machine: str, case: TransitionCase, note: str = ""):
+        object.__setattr__(self, "machine", machine)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "note", note)
 
 
 def _sender_event(raw):
@@ -230,7 +233,10 @@ def parse_table(doc: Any, source: str = "<table>") -> List[TableCase]:
 
 
 def _bundled_text(kind: str, name: str) -> str:
-    return resources.files("abpsim").joinpath(kind).joinpath(f"{name}.json").read_text()
+    # The loader reads package data from the directory or the zip archive
+    # the package was imported from.
+    path = os.path.join(os.path.dirname(__file__), kind, f"{name}.json")
+    return __spec__.loader.get_data(path).decode("utf-8")
 
 
 def bundled_table(name: str) -> List[TableCase]:

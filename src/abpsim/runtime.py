@@ -24,10 +24,9 @@ the counter.  ``SetTimer -1`` disables the timer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
-from .streams import Msg, Tick, TimedStream
+from .streams import Msg, Tick, TimedStream, _Value
 
 # A transition function: (state, input) -> (new state, output sequence).
 Delta = Callable[[Any, Any], Tuple[Any, Sequence[Any]]]
@@ -49,25 +48,31 @@ class DeadlockDetected(Exception):
     make progress."""
 
 
-@dataclass(frozen=True)
-class FromA:
+class FromA(_Value):
     """Message tagged as coming from the first of two merged channels."""
 
-    payload: Any
+    __slots__ = ("payload",)
+
+    def __init__(self, payload: Any):
+        object.__setattr__(self, "payload", payload)
 
 
-@dataclass(frozen=True)
-class FromB:
+class FromB(_Value):
     """Message tagged as coming from the second of two merged channels."""
 
-    payload: Any
+    __slots__ = ("payload",)
+
+    def __init__(self, payload: Any):
+        object.__setattr__(self, "payload", payload)
 
 
-@dataclass(frozen=True)
-class MsgI:
+class MsgI(_Value):
     """Ordinary input to a timer-owning machine."""
 
-    payload: Any
+    __slots__ = ("payload",)
+
+    def __init__(self, payload: Any):
+        object.__setattr__(self, "payload", payload)
 
 
 class _TimeoutEvent:
@@ -86,18 +91,22 @@ class _TimeoutEvent:
 TimeoutEvent = _TimeoutEvent()
 
 
-@dataclass(frozen=True)
-class MsgO:
+class MsgO(_Value):
     """Ordinary output of a timer-owning machine."""
 
-    payload: Any
+    __slots__ = ("payload",)
+
+    def __init__(self, payload: Any):
+        object.__setattr__(self, "payload", payload)
 
 
-@dataclass(frozen=True)
-class SetTimer:
+class SetTimer(_Value):
     """Arm the ambient timer for `slots` ticks; -1 disables it."""
 
-    slots: int
+    __slots__ = ("slots",)
+
+    def __init__(self, slots: int):
+        object.__setattr__(self, "slots", slots)
 
 
 def run_machine(start, delta: Delta, inputs: Iterable[Any]):
@@ -226,13 +235,16 @@ def demux_timed(s: TimedStream) -> Tuple[TimedStream, TimedStream]:
     return route(0), route(1)
 
 
-@dataclass
-class _Component:
-    name: str
-    start: Any
-    delta: Delta
-    inputs: Tuple[str, ...]
-    outputs: Tuple[str, ...]
+class _Component(_Value):
+    __slots__ = ("name", "start", "delta", "inputs", "outputs")
+
+    def __init__(self, name: str, start: Any, delta: Delta, inputs: Tuple[str, ...],
+                 outputs: Tuple[str, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "outputs", outputs)
 
 
 class NetworkSpec:
@@ -329,13 +341,15 @@ class NetworkSpec:
         return [self._components[name] for name in order]
 
 
-@dataclass
-class NetworkRun:
+class NetworkRun(_Value):
     """Recorded wire histories of a network run: per wire, one payload tuple
     per slot, truncated uniformly to the requested horizon."""
 
-    wire_order: Tuple[str, ...]
-    slots: Dict[str, List[tuple]]
+    __slots__ = ("wire_order", "slots")
+
+    def __init__(self, wire_order: Tuple[str, ...], slots: Dict[str, List[tuple]]):
+        object.__setattr__(self, "wire_order", wire_order)
+        object.__setattr__(self, "slots", slots)
 
 
 # A slot step: (state, one payload tuple per input port) -> (state, one

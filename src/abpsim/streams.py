@@ -19,8 +19,49 @@ the stream, not the iterator.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Optional
+
+
+class _Value:
+    """Base of the value classes: a subclass names its fields in
+    ``__slots__``, in constructor order, and gets what a frozen dataclass
+    would generate for them: the repr ``Name(field=value, ...)``, equality
+    and hash by the tuple of field values (never equal to another class),
+    fields that cannot be assigned or deleted, and copies and pickles that
+    call the class with the field values.  A value holding a dict, such as
+    ``NetworkRun``, is unhashable because its field tuple is.
+
+    Dataclasses are not used: importing ``dataclasses`` and compiling the
+    methods it generates for each class took about a third of the import
+    of the CLI, which is most of every short command."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda value: (get(value),))
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._fields(self))
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
 
 
 class _Tick:
@@ -41,11 +82,13 @@ class _Tick:
 Tick = _Tick()
 
 
-@dataclass(frozen=True)
-class Msg:
+class Msg(_Value):
     """A payload-carrying item of a timed stream."""
 
-    payload: Any
+    __slots__ = ("payload",)
+
+    def __init__(self, payload: Any):
+        object.__setattr__(self, "payload", payload)
 
     def __repr__(self):
         return f"Msg({self.payload!r})"

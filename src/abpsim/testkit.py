@@ -24,36 +24,34 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .abp import RESEND_TIMEOUT, OracleSpec, build_abp_network
 from .runtime import Delta, NetworkRun, run_network
-from .streams import TimedStream
+from .streams import TimedStream, _Value
 
 FULL = "full"
 STATES_ONLY = "states"
 OUTPUTS_ONLY = "outputs"
 
 
-@dataclass(frozen=True)
-class TransitionCase:
+class TransitionCase(_Value):
     """One expected step: delta(start_state, input) should equal
     (expected_state, expected_outputs)."""
 
-    id: str
-    start_state: Any
-    input: Any
-    expected_state: Any
-    expected_outputs: Tuple[Any, ...]
+    __slots__ = ("id", "start_state", "input", "expected_state", "expected_outputs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "expected_outputs", tuple(self.expected_outputs))
+    def __init__(self, id: str, start_state: Any, input: Any, expected_state: Any,
+                 expected_outputs: Tuple[Any, ...]):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "start_state", start_state)
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "expected_state", expected_state)
+        object.__setattr__(self, "expected_outputs", tuple(expected_outputs))
 
 
-@dataclass(frozen=True)
-class PathCase:
+class PathCase(_Value):
     """An input sequence with expectations along the trajectory.
 
     mode selects what is compared: FULL checks (state, outputs) per step,
@@ -61,56 +59,59 @@ class PathCase:
     all outputs concatenated.
     """
 
-    id: str
-    start_state: Any
-    inputs: Tuple[Any, ...]
-    mode: str
-    expectation: Any
+    __slots__ = ("id", "start_state", "inputs", "mode", "expectation")
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        if self.mode not in (FULL, STATES_ONLY, OUTPUTS_ONLY):
-            raise ValueError(f"unknown path mode {self.mode!r}")
-        if self.mode == OUTPUTS_ONLY:
-            object.__setattr__(self, "expectation", tuple(self.expectation))
-            return
-        expectation = tuple(self.expectation)
-        if len(expectation) != len(self.inputs):
+    def __init__(self, id: str, start_state: Any, inputs: Tuple[Any, ...], mode: str,
+                 expectation: Any):
+        inputs = tuple(inputs)
+        if mode not in (FULL, STATES_ONLY, OUTPUTS_ONLY):
+            raise ValueError(f"unknown path mode {mode!r}")
+        expectation = tuple(expectation)
+        if mode != OUTPUTS_ONLY and len(expectation) != len(inputs):
             raise ValueError(
-                f"path case {self.id!r}: {len(self.inputs)} inputs but "
-                f"{len(expectation)} expectations"
+                f"path case {id!r}: {len(inputs)} inputs but {len(expectation)} expectations"
             )
-        if self.mode == FULL:
+        if mode == FULL:
             expectation = tuple((state, tuple(outputs)) for state, outputs in expectation)
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "start_state", start_state)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "expectation", expectation)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    case_id: str
-    passed: bool
-    expected: Any = None
-    actual: Any = None
-    error: Optional[str] = None
+class Verdict(_Value):
+    __slots__ = ("case_id", "passed", "expected", "actual", "error")
+
+    def __init__(self, case_id: str, passed: bool, expected: Any = None, actual: Any = None,
+                 error: Optional[str] = None):
+        object.__setattr__(self, "case_id", case_id)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
+        object.__setattr__(self, "error", error)
 
     def __bool__(self) -> bool:
         return self.passed
 
 
-@dataclass(frozen=True)
-class StepVerdict:
+class StepVerdict(_Value):
     """Verdict for one step of a path case.  Steps after the first failing
     one are still evaluated (from the actual trajectory, not the expected
     one) and carry after_divergence=True so reports can de-emphasize them.
     """
 
-    case_id: str
-    index: int
-    passed: bool
-    expected: Any = None
-    actual: Any = None
-    after_divergence: bool = False
-    error: Optional[str] = None
+    __slots__ = ("case_id", "index", "passed", "expected", "actual", "after_divergence", "error")
+
+    def __init__(self, case_id: str, index: int, passed: bool, expected: Any = None,
+                 actual: Any = None, after_divergence: bool = False, error: Optional[str] = None):
+        object.__setattr__(self, "case_id", case_id)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
+        object.__setattr__(self, "after_divergence", after_divergence)
+        object.__setattr__(self, "error", error)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -170,17 +171,20 @@ class ClassificationError(Exception):
     violating the catalog's determinism requirement."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Value):
     """One abstract transition: fires when the state lies in the source
     class, the input matches the pattern, and the guard (if any) holds.
     The target class is declared data, used for the class-level graph."""
 
-    id: str
-    source: str
-    target: str
-    input_pattern: Callable[[Any], bool]
-    guard: Optional[Callable[[Any, Any], bool]] = None
+    __slots__ = ("id", "source", "target", "input_pattern", "guard")
+
+    def __init__(self, id: str, source: str, target: str, input_pattern: Callable[[Any], bool],
+                 guard: Optional[Callable[[Any, Any], bool]] = None):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "input_pattern", input_pattern)
+        object.__setattr__(self, "guard", guard)
 
 
 class TransitionCatalog:
@@ -234,27 +238,32 @@ class TransitionCatalog:
         return matches[0] if matches else None
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    machine: str
-    covered: frozenset
-    uncovered: frozenset
-    class_coverage: Dict[str, int]
-    unclassified: int
+class CoverageReport(_Value):
+    __slots__ = ("machine", "covered", "uncovered", "class_coverage", "unclassified")
+
+    def __init__(self, machine: str, covered: frozenset, uncovered: frozenset,
+                 class_coverage: Dict[str, int], unclassified: int):
+        object.__setattr__(self, "machine", machine)
+        object.__setattr__(self, "covered", covered)
+        object.__setattr__(self, "uncovered", uncovered)
+        object.__setattr__(self, "class_coverage", class_coverage)
+        object.__setattr__(self, "unclassified", unclassified)
 
     @property
     def complete(self) -> bool:
         return not self.uncovered
 
 
-@dataclass
-class CoverageAccumulator:
+class CoverageAccumulator(_Value):
     """Mutable tally behind an instrumented delta: steps per catalog entry
     and per class of the state stepped from.  A step no entry matches, or a
     state in no class, counts under the key None."""
 
-    transitions: Counter = field(default_factory=Counter)
-    classes: Counter = field(default_factory=Counter)
+    __slots__ = ("transitions", "classes")
+
+    def __init__(self, transitions: Optional[Counter] = None, classes: Optional[Counter] = None):
+        object.__setattr__(self, "transitions", Counter() if transitions is None else transitions)
+        object.__setattr__(self, "classes", Counter() if classes is None else classes)
 
     def report(self, catalog: TransitionCatalog) -> CoverageReport:
         ids = catalog.ids()
@@ -325,28 +334,28 @@ _HORIZON_LIMIT = 1_000_000
 _PAYLOAD_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Value):
     """A replayable end-to-end run: which payloads enter in which slot, the
     oracle for each medium, the observation horizon (1 to 1,000,000 slots),
     and the protocol knobs.  A scenario carries at most 10,000 payloads in
     all.  The seed records the generator invocation for generated scenarios
     and is absent on handcrafted ones."""
 
-    name: str
-    payload_slots: Tuple[Tuple[int, ...], ...]
-    horizon: int
-    data_oracle: OracleSpec
-    ack_oracle: OracleSpec
-    timeout: int = RESEND_TIMEOUT
-    sender_bit: bool = True
-    receiver_bit: bool = True
-    seed: Optional[int] = None
+    __slots__ = ("name", "payload_slots", "horizon", "data_oracle", "ack_oracle", "timeout",
+                 "sender_bit", "receiver_bit", "seed")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "payload_slots", tuple(tuple(slot) for slot in self.payload_slots)
-        )
+    def __init__(self, name: str, payload_slots: Tuple[Tuple[int, ...], ...], horizon: int,
+                 data_oracle: OracleSpec, ack_oracle: OracleSpec, timeout: int = RESEND_TIMEOUT,
+                 sender_bit: bool = True, receiver_bit: bool = True, seed: Optional[int] = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "payload_slots", tuple(tuple(slot) for slot in payload_slots))
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "data_oracle", data_oracle)
+        object.__setattr__(self, "ack_oracle", ack_oracle)
+        object.__setattr__(self, "timeout", timeout)
+        object.__setattr__(self, "sender_bit", sender_bit)
+        object.__setattr__(self, "receiver_bit", receiver_bit)
+        object.__setattr__(self, "seed", seed)
         if self.horizon < 1:
             raise ValueError(f"scenario {self.name!r}: horizon must be at least 1")
         if self.horizon > _HORIZON_LIMIT:
@@ -522,8 +531,7 @@ class IdentityStatus(Enum):
     FAIL = "fail"
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(_Value):
     """Outcome of the end-to-end identity check.
 
     INCONCLUSIVE_HORIZON means the delivered sequence is a strict prefix of
@@ -532,13 +540,19 @@ class IdentityResult:
     hard FAILs carrying the first divergent index and all wire traces.
     """
 
-    scenario: ScenarioSpec
-    status: IdentityStatus
-    expected: Tuple[Any, ...]
-    actual: Tuple[Any, ...]
-    divergence: Optional[int] = None
-    wires: Optional[Dict[str, Tuple[tuple, ...]]] = None
-    warnings: Tuple[str, ...] = ()
+    __slots__ = ("scenario", "status", "expected", "actual", "divergence", "wires", "warnings")
+
+    def __init__(self, scenario: ScenarioSpec, status: IdentityStatus, expected: Tuple[Any, ...],
+                 actual: Tuple[Any, ...], divergence: Optional[int] = None,
+                 wires: Optional[Dict[str, Tuple[tuple, ...]]] = None,
+                 warnings: Tuple[str, ...] = ()):
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
+        object.__setattr__(self, "divergence", divergence)
+        object.__setattr__(self, "wires", wires)
+        object.__setattr__(self, "warnings", warnings)
 
     @property
     def passed(self) -> bool:

@@ -1,9 +1,9 @@
 import copy
-import dataclasses
 
 import pytest
 
 from abpsim import FromA, FromB, ModelError, Msg, Tick
+from abpsim.runtime import _Component
 
 # One line per acceptance criterion, printed after the run so the verdicts
 # survive pytest's output capture.
@@ -27,7 +27,8 @@ def _rewire(net, start=lambda state: state, delta=lambda step: step):
     through `start` and `delta`; wiring and initializers are shared."""
     rewired = copy.copy(net)
     rewired._components = {
-        name: dataclasses.replace(comp, start=start(comp.start), delta=delta(comp.delta))
+        name: _Component(comp.name, start(comp.start), delta(comp.delta), comp.inputs,
+                         comp.outputs)
         for name, comp in net._components.items()
     }
     return rewired

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -591,3 +592,43 @@ def test_readme_quick_start_is_the_simulate_output(capsys):
     assert command == "$ abpsim simulate --scenario single_drop"
     code, out, _ = run_cmd(capsys, "simulate", "--scenario", "single_drop")
     assert code == 0 and out == expected
+
+
+# ----------------------------------------------------------------- start-up
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _isolated(path, *argv, cwd=None):
+    """Run the CLI in a fresh ``python -I -S`` interpreter whose only path
+    beyond the standard library is `path`; ``-B`` leaves no bytecode in the
+    source tree."""
+    code = f"import sys; sys.path.insert(0, {str(path)!r}); from abpsim.cli import main; main()"
+    return subprocess.run([sys.executable, "-B", "-I", "-S", "-c", code, *argv], cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    # These cost about a third of the import on a cold start, and no output
+    # depends on them.
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import abpsim.cli; "
+            "print(' '.join(sorted(sys.modules)))")
+    result = subprocess.run([sys.executable, "-B", "-I", "-S", "-c", code],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "abpsim.cli" in loaded
+    assert sorted(loaded & {"dataclasses", "inspect", "ast", "dis", "importlib.resources"}) == []
+
+
+def test_cli_runs_from_a_zip_of_the_package(tmp_path):
+    archive = tmp_path / "abpsim.zip"
+    with zipfile.ZipFile(archive, "w") as bundle:
+        for path in sorted((SRC / "abpsim").rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                bundle.write(path, path.relative_to(SRC).as_posix())
+    for argv in (("test",), ("simulate", "--scenario", "single_drop")):
+        zipped = _isolated(archive, *argv, cwd=tmp_path)
+        source = _isolated(SRC, *argv, cwd=tmp_path)
+        assert zipped.returncode == source.returncode == 0, zipped.stderr
+        assert zipped.stdout == source.stdout and zipped.stderr == source.stderr == ""

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -566,7 +565,10 @@ def test_fast_forward_matches_full_stepping_on_abp_scenarios(full_stepping, refe
 
 
 def test_fast_forward_calls_deltas_only_in_busy_slots(rewire):
-    scenario = dataclasses.replace(bundled_scenario("single_drop"), horizon=100_000)
+    single_drop = bundled_scenario("single_drop")
+    scenario = ScenarioSpec(single_drop.name, single_drop.payload_slots, 100_000,
+                            single_drop.data_oracle, single_drop.ack_oracle, single_drop.timeout,
+                            single_drop.sender_bit, single_drop.receiver_bit, single_drop.seed)
     calls = []
 
     def counted(delta):
