@@ -9,7 +9,8 @@ deterministic per-slot evaluator of component networks with feedback wires.
 Timed streams are read slot by slot (``TimedStream.slots``).  Each wrapper,
 ``lift_timed`` and ``attach_timer``, is written once, as a *slot rule*
 (state, one slot's payloads) -> (state, output payloads), which
-``run_network`` calls once per slot.  The paper's Msg/Tick item form, the
+``run_network`` calls once per stepped slot through the component's round
+step, a closure bound to its wires.  The paper's Msg/Tick item form, the
 delta the wrapper returns, is derived from that rule: a message is a slot
 of one payload with no tick, and a tick is an empty slot.  Any other
 tick-aware delta reaches ``run_network`` through one generic adapter,
@@ -24,6 +25,7 @@ the counter.  ``SetTimer -1`` disables the timer.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .streams import Msg, Tick, TimedStream, _Value
@@ -145,6 +147,8 @@ def lift_timed(delta: Delta) -> Delta:
     Its slot rule runs the inner machine on each payload in order."""
 
     def rule(state, payloads, tick=True):
+        if not payloads:
+            return state, ()
         produced: List[Any] = []
         for payload in payloads:
             state, outputs = delta(state, payload)
@@ -352,11 +356,6 @@ class NetworkRun(_Value):
         object.__setattr__(self, "slots", slots)
 
 
-# A slot step: (state, one payload tuple per input port) -> (state, one
-# payload tuple per output port).
-SlotStep = Callable[[Any, Sequence[tuple]], Tuple[Any, Tuple[tuple, ...]]]
-
-
 def _item_slot_form(delta: Delta, name: str) -> Callable[[Any, Sequence[Any]], Tuple[Any, tuple]]:
     """The slot form of a hand-written tick-aware delta: the slot's
     messages and then one tick are fed to the delta, and its outputs must
@@ -374,23 +373,32 @@ def _item_slot_form(delta: Delta, name: str) -> Callable[[Any, Sequence[Any]], T
     return slot_form
 
 
-def _slot_step(comp: _Component) -> SlotStep:
-    """Adapt a component's delta into a slot step: its slot form (the slot
-    rule of `lift_timed`/`attach_timer`, else `_item_slot_form`) applied to
-    the slot's payloads, merged by `_merge_slot` when there are two inputs,
-    and with two output ports the output split by `_demux_slot`."""
+def _round_step(comp: _Component, history: Dict[str, List[tuple]]) -> Callable[[Any, int], Any]:
+    """Bind a component to the wire histories as ``advance(state, index) ->
+    state``: read slot `index` of each input wire (two merged by
+    `_merge_slot` unless both are empty), apply the slot form (the
+    `lift_timed`/`attach_timer` rule, else `_item_slot_form`), and append
+    the output slot, split by `_demux_slot` over two output ports."""
     slot_form = getattr(comp.delta, "_slot_form", None) or _item_slot_form(comp.delta, comp.name)
+    # With one port, `second` and `put_second` alias the first, unused.
+    first, second = history[comp.inputs[0]], history[comp.inputs[-1]]
     merge = len(comp.inputs) == 2
+    put, put_second = history[comp.outputs[0]].append, history[comp.outputs[-1]].append
     split = len(comp.outputs) == 2
     culprit = f"component {comp.name!r} has two output ports but emitted"
 
-    def step(state, in_slots):
-        state, payloads = slot_form(state, _merge_slot(*in_slots) if merge else in_slots[0])
+    def advance(state, index):
+        payloads = first[index]
+        if merge and (payloads or second[index]):
+            payloads = _merge_slot(payloads, second[index])
+        state, payloads = slot_form(state, payloads)
         if split:
-            return state, _demux_slot(payloads, culprit)
-        return state, (payloads,)
+            payloads, rest = _demux_slot(payloads, culprit)
+            put_second(rest)
+        put(payloads)
+        return state
 
-    return step
+    return advance
 
 
 def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int) -> NetworkRun:
@@ -399,7 +407,7 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
     histories; a negative slot count raises ValueError.
 
     Each round every external wire is fed one slot, then every component
-    takes one step, in topological order of the initializer-broken wiring
+    takes one step (its `_round_step`), in topological order of the initializer-broken wiring
     graph (but see quiet rounds below).  Initializers are wire prefixes
     (see `NetworkSpec.initialize`).  A reader in round i always finds slot
     i of its wire: external wires are fed first, an undelayed wire's
@@ -411,11 +419,13 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
     state equal (``==``) to its state before the round, and every wire is
     empty from that slot on (slots initializers filled ahead included), the
     network is at a fixed point: while every external wire is fed an empty
-    slot, each produced wire gets an empty slot and no delta is called.  A
-    non-empty fed slot resumes stepping.  This relies on the contract of
-    every delta: it is pure, and states that compare equal behave alike.  A
-    state that never compares equal to its predecessor just disables the
-    shortcut; the histories are the same either way.
+    slot, no delta is called and no produced wire is touched; on the next
+    non-empty fed slot, or at the end, each produced wire gets the empty
+    slots of the quiet stretch at once, and stepping resumes.  This relies
+    on the contract of every delta: it is pure, and states that compare
+    equal behave alike.  A state that never compares equal to its
+    predecessor just disables the shortcut; the histories are the same
+    either way.
     """
     if slots < 0:
         raise ValueError(f"slot count must be >= 0, got {slots}")
@@ -443,11 +453,15 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
                 history[wire][-1] = lead.pop(wire) + history[wire][-1]
 
     feeds = [(wire, history[wire], stream.slots()) for wire, stream in external.items()]
-    plan = [(comp.outputs, _slot_step(comp), [history[w] for w in comp.inputs],
-             [history[w] for w in comp.outputs]) for comp in order]
-    produced = [wire_history for *_, writes in plan for wire_history in writes]
+    plan = [(comp.outputs, _round_step(comp, history)) for comp in order]
+    produced = [history[wire] for comp in order for wire in comp.outputs]
     states = [comp.start for comp in order]
-    settled = False
+    settled = 0  # the first round of a quiet stretch (never 0); 0 while stepping
+
+    def pad(upto):
+        for wire_history in produced:
+            wire_history.extend(repeat((), upto - settled))
+
     for index in range(slots):
         quiet = True
         for wire, wire_history, feed in feeds:
@@ -465,33 +479,29 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
                 quiet = False
         if settled:
             if quiet:
-                for wire_history in produced:
-                    wire_history.append(())
                 continue
-            settled = False
+            pad(index)
+            settled = 0
         if lead:
             land(external)
         # A non-empty fed slot rules out settling this round, so then no
         # state needs comparing.
         unchanged = quiet
-        for position, (outputs, step, reads, writes) in enumerate(plan):
+        for position, (outputs, advance) in enumerate(plan):
             state = states[position]
-            states[position], out_slots = step(
-                state, [wire_history[index] for wire_history in reads]
-            )
+            states[position] = new = advance(state, index)
             if unchanged:
-                unchanged = states[position] == state
-            for wire_history, slot in zip(writes, out_slots):
-                wire_history.append(slot)
+                unchanged = new == state
             if lead:
                 land(outputs)
         # Settled once no state moved and every slot a later round reads
         # without a further step is empty: slot `index` and the slots
         # initializers filled ahead.  (`lead` is empty after round 0.)
-        settled = unchanged and not any(
-            any(wire_history[index:]) for wire_history in history.values()
-        )
+        if unchanged and not any(any(wire_history[index:]) for wire_history in history.values()):
+            settled = index + 1
 
+    if settled:
+        pad(slots)
     for wire_history in history.values():
         del wire_history[slots:]
     return NetworkRun(spec.wire_order, history)

@@ -609,3 +609,140 @@ def test_fast_forward_resumes_on_late_input_and_keeps_short_input_errors():
     assert run.slots["b"] == [(), (), (2,)] + [()] * 40 + [(6,)] + [()] * 8
     with pytest.raises(ModelError, match="external input ended after 52 slots, 60 requested"):
         run_network(net, {"a": inject_ticks(fed)}, 60)
+
+
+# ------------------------------------------- quiet stretches padded at once
+
+
+def _bouncing(ticks, initializer):
+    # `front` forwards each fed payload, and each payload `echo` sends back
+    # less one while it stays above 0; `echo` copies every payload to `out`
+    # and to `back`, which an initializer delays, as `am` is in the ABP
+    # network.  Traffic dies out, so the network settles a few slots after
+    # each input.  `echo` is a hand-written item form, so `ticks` gets one
+    # entry per stepped slot.
+    def front(state, p):
+        if isinstance(p, FromA):
+            return state, (p.payload,)
+        return state, (p.payload - 1,) if p.payload > 1 else ()
+
+    def echo(state, item):
+        if item is Tick:
+            ticks.append(item)
+            return state, (Tick,)
+        return state, (Msg(FromA(item.payload)), Msg(FromB(item.payload)))
+
+    net = NetworkSpec()
+    net.add_machine("front", None, lift_timed(front), inputs=["a", "back"], outputs=["mid"])
+    net.add_machine("echo", None, echo, inputs=["mid"], outputs=["out", "back"])
+    net.initialize("back", initializer)
+    return net
+
+
+ONE_TICK, MESSAGE_AND_TWO_TICKS = [Tick], [Msg(2), Tick, Tick]
+LATE = [(2,)] + [()] * 10 + [(3,)]
+
+
+@pytest.mark.parametrize("initializer, fed, slots, stepped", [
+    # Settles after slot 3 (slot 5 with the longer initializer) and stays
+    # settled to the horizon.
+    (ONE_TICK, [(2,)], 40, 4),
+    (MESSAGE_AND_TWO_TICKS, [(2,)], 40, 6),
+    # Settles in its very last round: nothing is skipped.
+    (ONE_TICK, [(2,)], 4, 4),
+    (MESSAGE_AND_TWO_TICKS, [(2,)], 6, 6),
+    # Settles, resumes on a late input, and settles again.
+    (ONE_TICK, LATE, 30, 9),
+    (MESSAGE_AND_TWO_TICKS, LATE, 30, 14),
+    # Resumes in the last slot, after a quiet stretch.
+    (ONE_TICK, [(1,)] + [()] * 8 + [(1,)], 10, 4),
+    (ONE_TICK, [(2,)], 1, 1),
+    (MESSAGE_AND_TWO_TICKS, [(2,)], 1, 1),
+    (ONE_TICK, [(2,)], 0, 0),
+    (MESSAGE_AND_TWO_TICKS, [(2,)], 0, 0),
+])
+def test_quiet_stretches_are_padded_to_the_reference_histories(reference_run, initializer, fed,
+                                                               slots, stepped):
+    fed = fed + [()] * (slots - len(fed))
+    ticks = []
+    run = run_network(_bouncing(ticks, initializer), {"a": inject_ticks(fed)}, slots)
+    assert len(ticks) == stepped
+    assert run.slots == reference_run(_bouncing([], initializer), {"a": inject_ticks(fed)}, slots)
+    assert all(len(run.slots[wire]) == slots for wire in run.wire_order)
+
+
+# -------------------------------------------------- pinned port shapes
+
+
+def _counting(n_outputs):
+    # Counts messages and sends each payload p, tagged or not, as
+    # (count, p) to the first output; with two outputs, every payload
+    # met at an even count also goes to the second, untouched.
+    def delta(count, p):
+        if n_outputs == 1:
+            return count + 1, ((count, p),)
+        return count + 1, (FromA((count, p)),) + ((FromB(p),) if count % 2 == 0 else ())
+
+    return delta
+
+
+def _hand_written(delta):
+    # The same machine as `lift_timed(delta)`, without its slot rule.
+    def step(state, item):
+        if item is Tick:
+            return state, (Tick,)
+        state, outputs = delta(state, item.payload)
+        return state, tuple(map(Msg, outputs))
+
+    return step
+
+
+A, B = FromA, FromB
+FED = {"a": [(1, 2), (), (3,)], "b": [(), (4,), (5,)]}
+
+
+@pytest.mark.parametrize("inputs, outputs, expected", [
+    (["a"], ["x"], {"x": [((0, 1), (1, 2)), (), ((2, 3),)]}),
+    (["a", "b"], ["x"], {"x": [((0, A(1)), (1, A(2))), ((2, B(4)),), ((3, A(3)), (4, B(5)))]}),
+    (["a"], ["x", "y"], {"x": [((0, 1), (1, 2)), (), ((2, 3),)], "y": [(1,), (), (3,)]}),
+    (["a", "b"], ["x", "y"], {
+        "x": [((0, A(1)), (1, A(2))), ((2, B(4)),), ((3, A(3)), (4, B(5)))],
+        "y": [(A(1),), (B(4),), (B(5),)],
+    }),
+    # Both ports read one wire: each slot's payloads come FromA, then again FromB.
+    (["a", "a"], ["x"], {
+        "x": [((0, A(1)), (1, A(2)), (2, B(1)), (3, B(2))), (), ((4, A(3)), (5, B(3)))],
+    }),
+])
+@pytest.mark.parametrize("form", [lift_timed, _hand_written])
+def test_port_shapes_match_pinned_histories(reference_run, form, inputs, outputs, expected):
+    net = NetworkSpec()
+    net.add_machine("c", 0, form(_counting(len(outputs))), inputs=inputs, outputs=outputs)
+    external = {wire: FED[wire] for wire in net.external_wires()}
+    expected = {**external, **expected}
+    run = run_network(net, {w: inject_ticks(s) for w, s in external.items()}, 3)
+    assert run.slots == expected
+    assert reference_run(net, {w: inject_ticks(s) for w, s in external.items()}, 3) == expected
+
+
+@pytest.mark.parametrize("form", [lift_timed, _hand_written])
+def test_untagged_payload_of_a_two_output_component_is_pinned(reference_run, form):
+    net = NetworkSpec()
+    net.add_machine("leak", None, form(lambda state, p: (state, (p,))),
+                    inputs=["a"], outputs=["left", "right"])
+    message = "component 'leak' has two output ports but emitted untagged payload 3"
+    for evaluate in (run_network, reference_run):
+        with pytest.raises(ModelError) as caught:
+            evaluate(net, {"a": inject_ticks([(), (3,)])}, 2)
+        assert str(caught.value) == message
+
+
+def test_two_ticks_in_one_slot_are_pinned(reference_run):
+    twice = lambda state, item: (state, (Tick, Tick) if item is Tick else ())
+    net = NetworkSpec()
+    net.add_machine("bad", None, twice, inputs=["a", "b"], outputs=["c"])
+    message = "component 'bad' emitted 2 tick(s) in one slot; expected exactly one, last"
+    for evaluate in (run_network, reference_run):
+        with pytest.raises(ModelError) as caught:
+            evaluate(net, {"a": inject_ticks([(1,)]), "b": inject_ticks([()])}, 1)
+        assert str(caught.value) == message
