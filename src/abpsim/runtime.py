@@ -6,7 +6,9 @@ everything the hand-written models are executed against: machine execution
 over input sequences, lifting untimed machines to tick-aware ones, timer
 attachment, slot-synchronous channel merge/demux, and ``run_network``, the
 deterministic per-slot evaluator of component networks with feedback wires.
-Timed streams are read slot by slot (``TimedStream.slots``).  Each wrapper,
+Timed streams (``TimedStream.slots``), wire histories and initializers
+(``NetworkSpec.initialize``) all hold whole slots, each closed by its tick,
+so every round of ``run_network`` is the same loop.  Each wrapper,
 ``lift_timed`` and ``attach_timer``, is written once, as a *slot rule*
 (state, one slot's payloads) -> (state, output payloads), which
 ``run_network`` calls once per stepped slot through the component's round
@@ -270,8 +272,8 @@ class NetworkSpec:
     def __init__(self):
         self._components: Dict[str, _Component] = {}
         self._producers: Dict[str, str] = {}
-        # Per initialized wire: (pre-filled slots, messages after the last tick).
-        self._initializers: Dict[str, Tuple[Tuple[tuple, ...], tuple]] = {}
+        # Per initialized wire: its pre-filled slots, at least one.
+        self._initializers: Dict[str, Tuple[tuple, ...]] = {}
         self._wire_order: List[str] = []
 
     def add_machine(self, name: str, start, delta: Delta, *, inputs: Sequence[str], outputs: Sequence[str]):
@@ -291,11 +293,11 @@ class NetworkSpec:
         return self
 
     def initialize(self, wire: str, items: Sequence[Any]):
-        """Make `items` (Msg and Tick only) a prefix of the wire, ahead of
-        whatever it is fed or its producer emits.  Each tick pre-fills one
-        whole slot, delaying every reader of the wire by one slot; the
-        messages after the last tick go in front of the wire's first fed or
-        produced slot."""
+        """Pre-fill the wire with whole slots: `items` (Msg and Tick only)
+        are read as slots, each closed by its Tick, and go ahead of whatever
+        the wire is fed or its producer emits, delaying every reader by one
+        slot per tick.  A message after the last tick is a ValueError; an
+        empty list pre-fills nothing."""
         slots: List[tuple] = []
         current: List[Any] = []
         for item in items:
@@ -306,8 +308,12 @@ class NetworkSpec:
                 current.append(item.payload)
             else:
                 raise ValueError(f"initializer of wire {wire!r} holds {item!r}, not Msg or Tick")
+        if current:
+            raise ValueError(f"initializer of wire {wire!r} has {len(current)} message(s) "
+                             f"after its last Tick; each slot must be closed by a Tick")
         self._note_wire(wire)
-        self._initializers[wire] = (tuple(slots), tuple(current))
+        if slots:
+            self._initializers[wire] = tuple(slots)
         return self
 
     def _note_wire(self, wire: str):
@@ -325,7 +331,7 @@ class NetworkSpec:
         # A component steps after the producers of its input wires, except
         # along wires whose initializer pre-fills slots: those are a slot
         # ahead and so do not constrain the order within a round.
-        delayed = {wire for wire, (slots, _) in self._initializers.items() if slots}
+        delayed = set(self._initializers)
         blocking = {
             comp.name: [self._producers[wire] for wire in comp.inputs
                         if wire in self._producers and wire not in delayed]
@@ -406,9 +412,10 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
     wire's history.  Identical spec, inputs and slot count give identical
     histories; a negative slot count raises ValueError.
 
-    Each round every external wire is fed one slot, then every component
-    takes one step (its `_round_step`), in topological order of the initializer-broken wiring
-    graph (but see quiet rounds below).  Initializers are wire prefixes
+    Each round, the first included, feeds every external wire one slot and
+    then steps every component once (its `_round_step`), in topological
+    order of the initializer-broken wiring graph (but see quiet rounds
+    below).  Initializers pre-fill whole slots at the head of their wires
     (see `NetworkSpec.initialize`).  A reader in round i always finds slot
     i of its wire: external wires are fed first, an undelayed wire's
     producer steps before its readers, and a delayed wire starts a
@@ -439,21 +446,10 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
 
     order = spec._schedule()
     history: Dict[str, List[tuple]] = {w: [] for w in spec.wire_order}
-    lead: Dict[str, tuple] = {}
-    for wire, (prefilled, rest) in spec._initializers.items():
+    for wire, prefilled in spec._initializers.items():
         history[wire].extend(prefilled)
-        if rest:
-            lead[wire] = rest
-
-    def land(wires):
-        # Every wire gets its first fed or produced slot in round 0, so
-        # `lead` is empty, and `land` no longer called, from round 1 on.
-        for wire in wires:
-            if wire in lead:
-                history[wire][-1] = lead.pop(wire) + history[wire][-1]
-
     feeds = [(wire, history[wire], stream.slots()) for wire, stream in external.items()]
-    plan = [(comp.outputs, _round_step(comp, history)) for comp in order]
+    plan = [_round_step(comp, history) for comp in order]
     produced = [history[wire] for comp in order for wire in comp.outputs]
     states = [comp.start for comp in order]
     settled = 0  # the first round of a quiet stretch (never 0); 0 while stepping
@@ -482,21 +478,17 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
                 continue
             pad(index)
             settled = 0
-        if lead:
-            land(external)
         # A non-empty fed slot rules out settling this round, so then no
         # state needs comparing.
         unchanged = quiet
-        for position, (outputs, advance) in enumerate(plan):
+        for position, advance in enumerate(plan):
             state = states[position]
             states[position] = new = advance(state, index)
             if unchanged:
                 unchanged = new == state
-            if lead:
-                land(outputs)
         # Settled once no state moved and every slot a later round reads
         # without a further step is empty: slot `index` and the slots
-        # initializers filled ahead.  (`lead` is empty after round 0.)
+        # initializers filled ahead.
         if unchanged and not any(any(wire_history[index:]) for wire_history in history.values()):
             settled = index + 1
 

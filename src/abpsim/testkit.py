@@ -219,9 +219,6 @@ class TransitionCatalog:
             )
         return matches[0] if matches else None
 
-    def classify(self, state, item) -> Optional[str]:
-        return self._entry_in(self.class_of(state), state, item)
-
     def _entry_in(self, source: Optional[str], state, item) -> Optional[str]:
         """The entry leaving class `source` that the step matches, if any."""
         matches = [
@@ -506,6 +503,15 @@ def generate_scenario(seed: int,
 
     cap = min(max_payloads, max_horizon // per_message)
     count = rng.randint(1, cap) if cap >= 1 else 0
+    # Refuse an oversized scenario before drawing one arrival, as
+    # ScenarioSpec would refuse it built: the horizon is at least `floor`.
+    floor = min(max_horizon, count * per_message + 1)
+    if floor > _HORIZON_LIMIT:
+        raise ValueError(f"scenario 'seed-{seed}': horizon of at least {floor} slots exceeds "
+                         f"the limit of {_HORIZON_LIMIT} slots")
+    if count > _PAYLOAD_LIMIT:
+        raise ValueError(f"scenario 'seed-{seed}': {count} payloads exceed the limit of "
+                         f"{_PAYLOAD_LIMIT} payloads")
     window = max(1, 2 * count)
     arrivals = sorted(rng.randrange(window) for _ in range(count))
     payload_slots: List[List[int]] = [[] for _ in range((arrivals[-1] + 1) if count else 0)]

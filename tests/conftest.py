@@ -2,7 +2,7 @@ import copy
 
 import pytest
 
-from abpsim import FromA, FromB, ModelError, Msg, Tick
+from abpsim import FromA, FromB, ModelError, Msg, Tick, instrument
 from abpsim.runtime import _Component
 
 # One line per acceptance criterion, printed after the run so the verdicts
@@ -58,6 +58,20 @@ def _restless(delta):
     return step
 
 
+def _step_entry(catalog, delta, state, item):
+    """The catalog entry that one step of `delta` realizes, None for none,
+    as `instrument` records it: its ClassificationError propagates."""
+    stepped, accumulator = instrument(delta, catalog)
+    stepped(state, item)
+    [entry] = accumulator.transitions
+    return entry
+
+
+@pytest.fixture(scope="session")
+def step_entry():
+    return _step_entry
+
+
 @pytest.fixture(scope="session")
 def rewire():
     return _rewire
@@ -80,21 +94,17 @@ def _reference_run(spec, external, slots):
     stream's Msg/Tick items, then steps the components in schedule order:
     each tick-aware delta gets the slot's messages (tagged FromA/FromB with
     two inputs) and then one tick.  There is no slot-step adapter and no
-    fast-forward.  Only the schedule and the split initializers come from
-    `spec`.  Errors carry the messages `run_network` gives them."""
+    fast-forward.  Only the schedule and the initializers' pre-filled slots
+    come from `spec`.  Errors carry the messages `run_network` gives them."""
     order = spec._schedule()
     history = {wire: [] for wire in spec.wire_order}
-    lead = {}
-    for wire, (prefilled, rest) in spec._initializers.items():
+    for wire, prefilled in spec._initializers.items():
         history[wire].extend(prefilled)
-        lead[wire] = rest
     feeds = {wire: stream.items() for wire, stream in external.items()}
     states = {comp.name: comp.start for comp in order}
 
     def put(wire, payloads):
-        # An initializer's messages after its last tick lead the wire's first
-        # fed or produced slot.
-        history[wire].append(lead.pop(wire, ()) + tuple(payloads))
+        history[wire].append(tuple(payloads))
 
     for index in range(slots):
         for wire, items in feeds.items():

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -6,7 +8,7 @@ import zipfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abpsim import (
@@ -23,6 +25,8 @@ from abpsim import (
 from abpsim import cli
 from abpsim.golden import MACHINES
 from abpsim.cli import run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cmd(capsys, *argv):
@@ -509,6 +513,62 @@ def test_generate_rejects_a_horizon_over_the_limit(capsys):
     assert "exceeds the limit of 1000000 slots" in err
 
 
+@pytest.mark.parametrize("count", ["10000000", "100000000"])
+def test_generate_refuses_huge_bounds_before_drawing_them(count):
+    # Drawing every arrival of such a scenario takes seconds and hundreds of
+    # MB, and the larger count ends in a MemoryError under the limit.  The
+    # child runs under a 2 GB address-space limit and a short timeout, so a
+    # generator that draws before it checks fails here without allocating
+    # for real.
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            f"sys.path.insert(0, {str(SRC)!r}); from abpsim.cli import main; main()")
+    result = subprocess.run(
+        [sys.executable, "-B", "-I", "-S", "-c", code,
+         "generate", "--seed", "1", "--count", count, "--horizon", str(10**12)],
+        capture_output=True, text=True, timeout=5)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: ") and "exceeds the limit of 1000000" in result.stderr
+
+
+# Each flag the four subcommands take (--out aside, which writes files),
+# with small valid values and malformed ones; None marks a flag without a
+# value.
+_FLAG_VALUES = {
+    "--scenario": st.sampled_from(["single_drop", "mismatched_bits", "no_such_scenario", ""]),
+    "--tables": st.sampled_from([str(SRC / "abpsim" / "tables" / "sender.json"),
+                                 "no_such_table.json", ""]),
+    "--no-bundled": None,
+    "--seed": st.integers(-2, 2**40).map(str) | st.just("x"),
+    "--count": st.integers(-2, 4).map(str) | st.sampled_from(["", "1.5"]),
+    "--drop": st.sampled_from(["0", "0.25", "0.5", "1", "-0.5", "nan", "inf", "x"]),
+    "--horizon": st.integers(-1, 3000).map(str) | st.just("x"),
+    "--require-coverage": st.sampled_from(sorted(MACHINES) + ["nobody"]),
+    "--format": st.sampled_from(["human", "json", "xml"]),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    argv = [draw(st.sampled_from(["simulate", "test", "coverage", "generate"]))]
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=4)):
+        argv.append(flag)
+        if _FLAG_VALUES[flag] is not None:
+            argv.append(draw(_FLAG_VALUES[flag]))
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_argv())
+def test_cli_flags_end_in_exit_0_1_or_2(argv):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, sink.getvalue())
+
+
 # ------------------------------------------------------------------- misc
 
 
@@ -595,8 +655,6 @@ def test_readme_quick_start_is_the_simulate_output(capsys):
 
 
 # ----------------------------------------------------------------- start-up
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _isolated(path, *argv, cwd=None):

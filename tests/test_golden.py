@@ -217,14 +217,14 @@ def test_sender_table_delta_adapts_untagged_inputs():
         delta((True, ()), "neither")
 
 
-def test_medium_catalog_distinguishes_pass_and_drop():
-    catalog = MACHINES["medium"].catalog
+def test_medium_catalog_distinguishes_pass_and_drop(step_entry):
+    catalog, delta = MACHINES["medium"].catalog, MACHINES["medium"].delta
     from abpsim import Msg, Tick
     passing = OracleSpec.explicit([True]).cursor()
     dropping = OracleSpec.explicit([False]).cursor()
-    assert catalog.classify(passing, Msg((True, 1))) == "m_pass"
-    assert catalog.classify(dropping, Msg((True, 1))) == "m_drop"
-    assert catalog.classify(passing, Tick) == "m_tick"
+    assert step_entry(catalog, delta, passing, Msg((True, 1))) == "m_pass"
+    assert step_entry(catalog, delta, dropping, Msg((True, 1))) == "m_drop"
+    assert step_entry(catalog, delta, passing, Tick) == "m_tick"
 
 
 # --------------------------------------------------- malformed documents

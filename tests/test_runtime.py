@@ -178,8 +178,8 @@ def test_run_network_pipeline_records_every_wire():
 @pytest.mark.parametrize("fed, initializer, index", [
     ([[1], [2]], [], 0),
     ([(1,), [2]], [], 1),
-    ([[1], (2,)], [Msg(9)], 0),
-    ([(1,), "2"], [Tick, Msg(9)], 1),
+    ([[1], (2,)], [Msg(9), Tick], 0),
+    ([(1,), "2"], [Tick, Msg(9), Tick], 1),
 ])
 def test_run_network_rejects_fed_slots_that_are_not_tuples(fed, initializer, index):
     net = NetworkSpec()
@@ -217,42 +217,22 @@ def test_network_cycle_with_tick_initializer_runs():
     assert run.slots["w2"] == [(1,), (1,), (1,)]
 
 
-def test_initializer_messages_after_the_last_tick_lead_the_first_produced_slot():
-    net = NetworkSpec()
-    net.add_machine("inc", None, lift_timed(lambda s, p: (s, (p + 1,))),
-                    inputs=["a"], outputs=["b"])
-    net.add_machine("fwd", None, forwarder(), inputs=["b"], outputs=["c"])
-    net.initialize("b", [Msg(7), Tick, Msg(8), Msg(9)])
-    run = run_network(net, {"a": inject_ticks([(1,), (2,), ()])}, 3)
-    # The initializer's tick fills slot 0 of `b`; its trailing messages go in
-    # front of what `inc` produces for its first slot, which lands in slot 1.
-    assert run.slots["b"] == [(7,), (8, 9, 2), (3,)]
-    assert run.slots["c"] == [(7,), (8, 9, 2), (3,)]
-
-
-def test_initializer_messages_without_any_tick_reach_readers_in_slot_0():
-    net = NetworkSpec()
-    net.add_machine("inc", None, lift_timed(lambda s, p: (s, (p + 1,))),
-                    inputs=["a"], outputs=["b"])
-    net.add_machine("fwd", None, forwarder(), inputs=["b"], outputs=["c"])
-    net.initialize("b", [Msg(5)])
-    run = run_network(net, {"a": inject_ticks([(1,), ()])}, 2)
-    assert run.slots["b"] == [(5, 2), ()]
-    assert run.slots["c"] == [(5, 2), ()]
-
-
-@pytest.mark.parametrize("items, fed, expected", [
-    # The tick fills slot 0; the trailing message goes in front of the first fed slot.
-    ([Msg(1), Tick, Msg(2)], [(9,), ()], [(1,), (2, 9)]),
-    ([Msg(5)], [(1,), ()], [(5, 1), ()]),
+@pytest.mark.parametrize("items, accepted", [
+    ([Msg(1), Tick, Msg(2)], False),
+    ([Msg(5)], False),
+    ([], True),
+    ([Msg(1), Tick], True),
 ])
-def test_initializer_is_a_prefix_of_an_external_wire(items, fed, expected):
+def test_initializer_messages_must_be_closed_by_a_tick(items, accepted):
     net = NetworkSpec()
     net.add_machine("fwd", None, forwarder(), inputs=["a"], outputs=["b"])
-    net.initialize("a", items)
-    run = run_network(net, {"a": inject_ticks(fed)}, 2)
-    assert run.slots["a"] == expected
-    assert run.slots["b"] == expected
+    if accepted:
+        net.initialize("a", items)
+        expected = [(1,), (9,)] if items else [(9,), ()]
+        assert run_network(net, {"a": inject_ticks([(9,), ()])}, 2).slots["b"] == expected
+        return
+    with pytest.raises(ValueError, match="initializer of wire 'a' .* after its last Tick"):
+        net.initialize("a", items)
 
 
 @pytest.mark.parametrize("item", [7, None, "Tick", (Tick,)])
@@ -356,7 +336,9 @@ def small_networks(draw):
         inputs = draw(st.lists(st.sampled_from(wires), min_size=1, max_size=2))
         components.append((f"c{index}", inputs, outputs))
     initializers = draw(st.dictionaries(
-        st.sampled_from(wires), st.lists(st.sampled_from([Msg(1), Msg(2), Tick]), max_size=3),
+        st.sampled_from(wires),
+        st.lists(st.sampled_from([Msg(1), Msg(2), Tick]), max_size=2).map(
+            lambda drawn: [*drawn, Tick]),
         max_size=3))
     return components, initializers
 
@@ -533,9 +515,9 @@ def test_attach_timer_slot_form_matches_its_item_form(slots, n_outputs, modulus,
 @st.composite
 def stateful_networks(draw):
     # Up to three stateful components on five wires, each drawn by
-    # `components`.  A wire read by its own
-    # producer or by an earlier component may close a cycle, so it gets a
-    # tick in its initializer: deadlocks are tested above, not here.
+    # `components`.  Every initializer ends in a tick.  A wire read by its
+    # own producer or by an earlier component may close a cycle, so it gets
+    # an initializer: deadlocks are tested above, not here.
     wires = ["w0", "w1", "w2", "w3", "w4"]
     unproduced = list(draw(st.permutations(wires)))
     net = NetworkSpec()
@@ -549,11 +531,12 @@ def stateful_networks(draw):
         producer.update(dict.fromkeys(outputs, index))
     items = st.sampled_from([Msg(1), Msg(3), Tick, Tick])
     initializers = draw(st.dictionaries(
-        st.sampled_from(wires), st.lists(items, max_size=6), max_size=3))
+        st.sampled_from(wires), st.lists(items, max_size=5).map(lambda drawn: [*drawn, Tick]),
+        max_size=3))
     for index, comp in enumerate(net._components.values()):
         for wire in comp.inputs:
-            if producer.get(wire, -1) >= index and Tick not in initializers.get(wire, []):
-                initializers[wire] = initializers.get(wire, []) + [Tick]
+            if producer.get(wire, -1) >= index:
+                initializers.setdefault(wire, [Tick])
     for wire, initializer in initializers.items():
         net.initialize(wire, initializer)
     slots = draw(st.integers(1, 90))

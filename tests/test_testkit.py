@@ -34,7 +34,7 @@ from abpsim import (
 )
 from abpsim import testkit
 from abpsim.abp import build_abp_network
-from abpsim.golden import BUNDLED_SCENARIO_NAMES, SENDER_CATALOG, bundled_scenario
+from abpsim.golden import BUNDLED_SCENARIO_NAMES, MACHINES, SENDER_CATALOG, bundled_scenario
 
 
 def stepper(state, item):
@@ -155,17 +155,17 @@ def test_catalog_rejects_duplicate_ids_and_unknown_classes():
         TransitionCatalog("m", {"a": bool}, [CatalogEntry("t", "a", "ghost", bool)])
 
 
-def test_classify_respects_source_class_pattern_and_guard():
+def test_classify_respects_source_class_pattern_and_guard(step_entry):
     catalog = toy_catalog()
-    assert catalog.classify(0, "inc") == "inc_even"
-    assert catalog.classify(1, "inc") == "inc_odd"
-    assert catalog.classify(0, "noop") == "noop_even"
-    assert catalog.classify(1, "noop") is None
+    assert step_entry(catalog, stepper, 0, "inc") == "inc_even"
+    assert step_entry(catalog, stepper, 1, "inc") == "inc_odd"
+    assert step_entry(catalog, stepper, 0, "noop") == "noop_even"
+    assert step_entry(catalog, stepper, 1, "noop") is None
     assert catalog.class_of(2) == "even"
     assert catalog.class_of("x") is None
 
 
-def test_overlapping_classes_are_a_classification_error():
+def test_overlapping_classes_are_a_classification_error(step_entry):
     sloppy = TransitionCatalog(
         "sloppy",
         classes={"all": lambda s: True, "even": lambda s: s % 2 == 0},
@@ -177,16 +177,17 @@ def test_overlapping_classes_are_a_classification_error():
     with pytest.raises(ClassificationError):
         sloppy.class_of(2)
     with pytest.raises(ClassificationError):
-        sloppy.classify(2, "x")
+        step_entry(sloppy, stepper, 2, "x")
 
 
-def test_sender_catalog_is_deterministic_on_its_golden_steps():
+def test_sender_catalog_is_deterministic_on_its_golden_steps(step_entry):
     steps = [((True, ()), 3), ((True, (3,)), True), ((True, (3, 4)), False),
              ((True, (3, 4)), True), ((False, ()), False)]
-    # Each step lies in exactly one class and matches exactly one entry;
-    # classify and class_of raise ClassificationError on a second match.
+    # Each step lies in exactly one class and matches exactly one entry; an
+    # instrumented step and class_of raise ClassificationError on a second
+    # match.
     for state, item in steps:
-        assert SENDER_CATALOG.classify(state, item) is not None
+        assert step_entry(SENDER_CATALOG, MACHINES["sender"].delta, state, item) is not None
         assert SENDER_CATALOG.class_of(state) is not None
 
 
