@@ -63,7 +63,8 @@ class OracleSpec(_Value):
 
     @classmethod
     def explicit(cls, bits) -> "OracleSpec":
-        return cls(kind="explicit", bits=tuple(bool(b) for b in bits))
+        # Via a list: a tuple built from an iterator may keep spare slots.
+        return cls(kind="explicit", bits=tuple([*map(bool, bits)]))
 
     @classmethod
     def cyclic(cls, bits) -> "OracleSpec":

@@ -16,7 +16,6 @@ each distinct slot once.  Human output honors NO_COLOR.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -184,7 +183,9 @@ def _resolve_scenario(ref: str) -> ScenarioSpec:
             return load_scenario_file(ref)
         if ref in BUNDLED_SCENARIO_NAMES:
             return bundled_scenario(ref)
-    except (ValueError, json.JSONDecodeError, OSError) as exc:
+    except OSError as exc:
+        raise UsageError(f"scenario {ref!r}: {exc.strerror or exc}") from None
+    except ValueError as exc:
         raise UsageError(f"scenario {ref!r}: {exc}") from None
     raise UsageError(
         f"scenario {ref!r}: no such file or bundled scenario "
@@ -220,8 +221,10 @@ def _load_tables(args) -> List[TableCase]:
     for path in args.tables:
         try:
             cases.extend(load_table_file(path))
-        except (ValueError, json.JSONDecodeError, OSError) as exc:
-            raise UsageError(f"table {path}: {exc}") from None
+        except OSError as exc:
+            raise UsageError(f"table {path}: {exc.strerror or exc}") from None
+        except ValueError as exc:  # its message starts with the path
+            raise UsageError(f"table {exc}") from None
     return cases
 
 

@@ -155,9 +155,12 @@ def parse_table(doc: Any, source: str = "<table>") -> List[TableCase]:
     whose ``cases`` is one); a malformed document is a ValueError naming
     `source`, the case and the field.
 
-    Each distinct literal text is parsed once per document: tables draw
-    their states, inputs and outputs from a small alphabet, and every parsed
-    value is immutable, so cases may share one value object.
+    Field names are checked once per record layout, the tuple of a record's
+    keys, since missing and unknown fields depend on the keys alone; every
+    value is checked in every record.  Each distinct literal text is parsed
+    once per document: tables draw their states, inputs and outputs from a
+    small alphabet, and every parsed value is immutable, so cases may share
+    one value object.
     """
     if isinstance(doc, dict):
         records = doc.get("cases")
@@ -168,6 +171,9 @@ def parse_table(doc: Any, source: str = "<table>") -> List[TableCase]:
     else:
         raise ValueError(f"{source}: table document must be a JSON object or list")
 
+    # Record layout -> its fields that must hold strings, for layouts whose
+    # field names passed.
+    layouts: Dict[Tuple[Any, ...], Tuple[str, ...]] = {}
     # Literal text -> parsed value, for successful parses only: a failure is
     # never stored, and a non-string field (which parse_value rejects) is
     # never a key.
@@ -178,15 +184,20 @@ def parse_table(doc: Any, source: str = "<table>") -> List[TableCase]:
         if not isinstance(record, dict):
             raise ValueError(f"{source}: record {index} is not an object")
         label = record.get("id", f"record-{index}")
-        for key in ("id", "machine", "start", "input", "expectState", "expectOutputs"):
-            if key not in record:
-                raise ValueError(f"{source}: case {label!r}: missing field {key!r}")
-        for key in record:
-            if key not in ("id", "machine", "start", "input", "expectState",
-                           "expectOutputs", "note", "comment"):
-                raise ValueError(f"{source}: case {label!r}: unknown field {key!r}")
-        for key in ("id", "note", "comment"):
-            if key in record and not isinstance(record[key], str):
+        layout = tuple(record)
+        string_fields = layouts.get(layout)
+        if string_fields is None:
+            for key in ("id", "machine", "start", "input", "expectState", "expectOutputs"):
+                if key not in record:
+                    raise ValueError(f"{source}: case {label!r}: missing field {key!r}")
+            for key in record:
+                if key not in ("id", "machine", "start", "input", "expectState",
+                               "expectOutputs", "note", "comment"):
+                    raise ValueError(f"{source}: case {label!r}: unknown field {key!r}")
+            string_fields = tuple(k for k in ("id", "note", "comment") if k in record)
+            layouts[layout] = string_fields
+        for key in string_fields:
+            if not isinstance(record[key], str):
                 raise ValueError(f"{source}: case {label!r}: field {key!r}: must be a string, "
                                  f"not {type(record[key]).__name__}")
         first = first_index.setdefault(label, index)
@@ -200,35 +211,25 @@ def parse_table(doc: Any, source: str = "<table>") -> List[TableCase]:
                 f"(known: {', '.join(sorted(MACHINES))})"
             )
 
-        def read(key):
+        values = []
+        # expectOutputs first: its shape is checked before start is read.
+        for key in ("expectOutputs", "start", "input", "expectState"):
             text = record[key]
-            if isinstance(text, str) and text in parsed:
-                return parsed[text]
             try:
-                value = parse_value(text)
-            except ValueError as exc:
-                raise ValueError(f"{source}: case {label!r}: field {key!r}: {exc}") from None
-            parsed[text] = value
-            return value
-
-        outputs = read("expectOutputs")
-        if not isinstance(outputs, tuple):
-            raise ValueError(
-                f"{source}: case {label!r}: field 'expectOutputs': must be a sequence literal"
-            )
-        cases.append(
-            TableCase(
-                machine=machine,
-                case=TransitionCase(
-                    id=label,
-                    start_state=read("start"),
-                    input=read("input"),
-                    expected_state=read("expectState"),
-                    expected_outputs=outputs,
-                ),
-                note=record.get("note", record.get("comment", "")),
-            )
-        )
+                value = parsed[text]
+            except (KeyError, TypeError):  # not parsed yet, or not even hashable
+                try:
+                    value = parsed[text] = parse_value(text)
+                except ValueError as exc:
+                    raise ValueError(f"{source}: case {label!r}: field {key!r}: {exc}") from None
+            if not values and not isinstance(value, tuple):
+                raise ValueError(
+                    f"{source}: case {label!r}: field 'expectOutputs': must be a sequence literal"
+                )
+            values.append(value)
+        outputs, start, item, expected = values
+        cases.append(TableCase(machine, TransitionCase(label, start, item, expected, outputs),
+                               record.get("note", record.get("comment", ""))))
     return cases
 
 
@@ -263,7 +264,14 @@ def _load_json(path):
 
 
 def load_table_file(path) -> List[TableCase]:
-    return parse_table(_load_json(path), source=str(path))
+    """The cases of the table file at `path`; a malformed file is a
+    ValueError whose message starts with the path."""
+    source = str(path)
+    try:
+        doc = _load_json(path)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    return parse_table(doc, source=source)
 
 
 def bundled_scenario(name: str) -> ScenarioSpec:

@@ -10,7 +10,11 @@ MsgO.  Machine states fit the same grammar: a sender state is written
 
 parse_value reads the text in one tokenizer pass and builds the value in one
 loop over an explicit stack of open sequences and tags, so deep nesting never
-recurses; text nested more than 100 levels deep is a LiteralError.
+recurses; text nested more than 100 levels deep is a LiteralError.  A flat
+run, a non-empty sequence of only integers (``[3,4,5]``) or only booleans
+(``[true,false]``), is one token: the tokenizer converts it to its tuple in
+C, so the loop takes one step for it instead of one per bracket, comma and
+item.  Any other sequence is read token by token.
 parse_value and format_value are inverse on grammar-representable values.
 Values outside the grammar (closures, foreign objects) format as Python
 reprs when ``strict`` is off, which is how the CLI renders every trace and
@@ -20,6 +24,7 @@ report; strict mode (the default) raises instead.
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from typing import Any, List, Tuple
 
 from .abp import OracleCursor, OracleSpec
@@ -37,11 +42,17 @@ class LiteralError(ValueError):
 # them well inside Python's stack.
 _MAX_DEPTH = 100
 
-# One token after optional whitespace; the second group catches the first
-# character that starts no token.
-_TOKEN = re.compile(r"\s*(?:(-?\d+|[A-Za-z_][A-Za-z0-9_]*|[\[\](),])|(\S))")
+# One token after optional whitespace.  The first two groups catch the
+# inside of a flat run of integers or of booleans, the third a single token,
+# and the fourth the first character that starts no token.
+_TOKEN = re.compile(
+    r"\s*(?:\[(\s*-?\d+\s*(?:,\s*-?\d+\s*)*)\]"
+    r"|\[(\s*(?:true|false)\s*(?:,\s*(?:true|false)\s*)*)\]"
+    r"|(-?\d+|[A-Za-z_][A-Za-z0-9_]*|[\[\](),])|(\S))"
+)
 
-_ATOMS = {"true": True, "false": False, "Tick": Tick, "Timeout": TimeoutEvent}
+_BOOLS = {"true": True, "false": False}
+_ATOMS = {**_BOOLS, "Tick": Tick, "Timeout": TimeoutEvent}
 _WRAPPERS = {"Msg": Msg, "MsgI": MsgI, "MsgO": MsgO, "FromA": FromA, "FromB": FromB}
 _TAGS = {*_WRAPPERS, "SetTimer", "Oracle"}
 
@@ -57,21 +68,45 @@ def _tagged(tag: str, args: List[Any]) -> Any:
         position = args[1] if len(args) == 2 else 0
         if not isinstance(position, int) or isinstance(position, bool) or position < 0:
             raise LiteralError(f"Oracle position must be a non-negative integer, got {position!r}")
-        if not all(isinstance(b, bool) for b in args[0]):
+        if not all(map(isinstance, args[0], repeat(bool))):
             raise LiteralError(f"Oracle bits must be booleans, got {args[0]!r}")
         return OracleCursor(OracleSpec.explicit(args[0]), position)
     return _WRAPPERS[tag](args[0] if len(args) == 1 else tuple(args))
+
+
+def _shown(token: Any) -> str:
+    """A token as error messages quote it: a flat run as the "[" opening it."""
+    return repr("[" if token.__class__ is tuple else token)
 
 
 def parse_value(text: str) -> Any:
     """Parse one literal; trailing tokens are an error."""
     if not isinstance(text, str):
         raise LiteralError(f"expected a literal string, got {text!r}")
-    tokens = []
+    # A token is a string, or the ready tuple of a flat run.  A run's tuple is
+    # built from a list: one built from an iterator may keep spare slots.
+    tokens: List[Any] = []
     for match in _TOKEN.finditer(text):
-        token, stray = match.groups()
-        if stray is not None:
-            raise LiteralError(f"unexpected character {stray!r} at position {match.start()} in {text!r}")
+        ints, bools, token, stray = match.groups()
+        if token is None:
+            if ints is not None:
+                # Stripped first: int() does not strip "\x1c" to "\x1f",
+                # which r"\s" matches.
+                items = [*map(str.strip, ints.split(","))]
+                try:
+                    token = tuple([*map(int, items)])
+                except ValueError:
+                    # An item past int's digit limit: keep the run's own
+                    # tokens, so that the loop raises int's error in order.
+                    tokens.append("[")
+                    for item in items:
+                        tokens += (item, ",")
+                    tokens[-1] = "]"
+                    continue
+            elif bools is not None:
+                token = tuple([*map(_BOOLS.__getitem__, map(str.strip, bools.split(",")))])
+            else:
+                raise LiteralError(f"unexpected character {stray!r} at position {match.start()} in {text!r}")
         tokens.append(token)
     end = len(tokens)
     tokens.append(None)  # reading this sentinel means the text ended early
@@ -79,7 +114,7 @@ def parse_value(text: str) -> Any:
     def unexpected(token: Any, wanted: str) -> LiteralError:
         if token is None:
             return LiteralError(f"unexpected end of input in {text!r}")
-        return LiteralError(f"expected {wanted} but found {token!r} in {text!r}")
+        return LiteralError(f"expected {wanted} but found {_shown(token)} in {text!r}")
 
     # One (opener, items) frame per open sequence "[" or tag; the nesting
     # depth is the stack's length.
@@ -88,7 +123,11 @@ def parse_value(text: str) -> Any:
     while True:
         token = tokens[pos]
         pos += 1
-        if token == "[" or token in _TAGS:
+        if token.__class__ is tuple:  # a flat run is one level deeper, as "["
+            if len(stack) == _MAX_DEPTH:
+                raise LiteralError(f"literal nests deeper than {_MAX_DEPTH} levels")
+            value = token
+        elif token == "[" or token in _TAGS:
             if len(stack) == _MAX_DEPTH:
                 raise LiteralError(f"literal nests deeper than {_MAX_DEPTH} levels")
             if token == "[" and tokens[pos] == "]":
@@ -125,7 +164,7 @@ def parse_value(text: str) -> Any:
             value = tuple(items) if opener == "[" else _tagged(opener, items)
         else:
             if pos != end:
-                raise LiteralError(f"trailing input {tokens[pos]!r} in {text!r}")
+                raise LiteralError(f"trailing input {_shown(tokens[pos])} in {text!r}")
             return value
 
 

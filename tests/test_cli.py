@@ -245,6 +245,29 @@ def test_test_rejects_unparseable_table_files(tmp_path, capsys):
     assert run_cmd(capsys, "test", "--tables", str(path))[0] == 2
 
 
+@pytest.mark.parametrize("content,message", [
+    (None, "No such file or directory"),
+    ("{not json", "Expecting property name"),
+    (json.dumps([{"id": "a", "machine": "sender", "start": "[true,[]]", "input": "@",
+                  "expectState": "[true,[]]", "expectOutputs": "[]"}]),
+     "case 'a': field 'input': unexpected character '@'"),
+], ids=["missing", "json-syntax", "bad-case"])
+def test_table_errors_name_their_file_once(tmp_path, capsys, content, message):
+    path = tmp_path / "table.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cmd(capsys, "test", "--tables", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: table {path}: ") and message in err
+    assert err.count(str(path)) == 1
+
+
+def test_scenario_directory_error_names_it_once(tmp_path, capsys):
+    code, out, err = run_cmd(capsys, "simulate", "--scenario", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: scenario {str(tmp_path)!r}: Is a directory\n"
+
+
 @pytest.mark.parametrize("field,value", [("start", 5), ("machine", ["x"]), ("id", 1),
                                          ("note", {"a": 1}), ("comment", 5)],
                          ids=["start-int", "machine-list", "id-int", "note-dict", "comment-int"])

@@ -132,11 +132,16 @@ def test_parse_table_parses_each_distinct_literal_once(monkeypatch):
 
 
 def parse_table_per_field(records, source):
-    """What parse_table gives for records with unique string ids and known
-    machines, calling parse_value once for every field it reads."""
+    """What parse_table gives for records with unique string ids, known
+    machines and no missing or unknown fields, checking every record in
+    full and calling parse_value once for every field it reads."""
     cases = []
     for record in records:
         label = record["id"]
+        for key in ("note", "comment"):
+            if key in record and not isinstance(record[key], str):
+                raise ValueError(f"{source}: case {label!r}: field {key!r}: must be a string, "
+                                 f"not {type(record[key]).__name__}")
         values = {}
         for key in ("expectOutputs", "start", "input", "expectState"):
             try:
@@ -148,14 +153,16 @@ def parse_table_per_field(records, source):
                                  "must be a sequence literal")
         cases.append(TableCase(record["machine"], TransitionCase(
             label, values["start"], values["input"], values["expectState"],
-            values["expectOutputs"])))
+            values["expectOutputs"]), record.get("note", record.get("comment", ""))))
     return cases
 
 
 # Texts are drawn with replacement, so that they repeat within and across
 # records. "1" and "true" (and "[1]" and "[true]", ...) are equal values but
-# different texts. Bad values are spliced in at drawn places, so that most
-# tables get past their first record before one is met.
+# different texts. Records take one of eight layouts (note and comment each
+# present or not, keys in either order), so that layouts repeat within a
+# table. Bad values, bad notes and comments included, are spliced in at drawn
+# places, so that most tables get past their first record before one is met.
 valid_literals = st.sampled_from(
     ["1", "true", "0", "false", "3", "[1]", "[true]", "[true,[1]]", "[true,[true]]",
      "[true,[]]", "Tick", "Timeout", "Oracle([true],0)", "[MsgO(true,3),SetTimer(3)]"]
@@ -164,13 +171,19 @@ sequence_literals = st.sampled_from(
     ["[]", "[1]", "[true]", "[0]", "[false]", "[MsgO(true,3),SetTimer(3)]"]
 )
 bad_literals = st.sampled_from(["Msg(", "[1,", "@", "", 5, True, None, ["3"], {"a": "1"}])
-repeating_tables = st.lists(st.fixed_dictionaries(
-    {"machine": st.sampled_from(sorted(MACHINES)), "start": valid_literals,
-     "input": valid_literals, "expectState": valid_literals,
-     "expectOutputs": sequence_literals | valid_literals},
+repeating_tables = st.lists(st.builds(
+    lambda record, reverse: dict(reversed(record.items())) if reverse else record,
+    st.fixed_dictionaries(
+        {"machine": st.sampled_from(sorted(MACHINES)), "start": valid_literals,
+         "input": valid_literals, "expectState": valid_literals,
+         "expectOutputs": sequence_literals | valid_literals},
+        optional={"note": st.just("a note"), "comment": st.just("")},
+    ),
+    st.booleans(),
 ), max_size=8)
 bad_fields = st.lists(st.tuples(
-    st.integers(0, 3), st.sampled_from(["start", "input", "expectState", "expectOutputs"]),
+    st.integers(0, 3),
+    st.sampled_from(["start", "input", "expectState", "expectOutputs", "note", "comment"]),
     bad_literals), max_size=2)
 
 
@@ -188,6 +201,35 @@ def test_parse_table_agrees_with_one_parse_per_field(records, bad):
         if index < len(records):
             records[index][key] = value
     assert outcome(parse_table, records) == outcome(parse_table_per_field, records)
+
+
+# ------------------------------------------------- one check per layout
+
+def test_parse_table_checks_values_of_a_repeated_layout():
+    doc = [sender_record(id="a", note="fine"), sender_record(id="b", note=5)]
+    with pytest.raises(ValueError, match="case 'b': field 'note': must be a string, not int"):
+        parse_table(doc, source="unit")
+
+
+def test_parse_table_checks_a_new_layout_after_many_records():
+    doc = [sender_record(id=f"s{i}") for i in range(1000)]
+    doc.append(sender_record(id="late", flavor="spicy"))
+    with pytest.raises(ValueError, match="unit: case 'late': unknown field 'flavor'"):
+        parse_table(doc, source="unit")
+    doc[-1] = {key: value for key, value in sender_record(id="late").items() if key != "input"}
+    with pytest.raises(ValueError, match="unit: case 'late': missing field 'input'"):
+        parse_table(doc, source="unit")
+
+
+def test_parse_table_accepts_fields_in_any_order():
+    record = sender_record(note="n")
+    reordered = dict(reversed(record.items()))
+    assert list(reordered) != list(record)
+    assert parse_table([record, dict(reordered, id="t")]) == [
+        TableCase("sender", TransitionCase(id, (True, ()), 3, (True, (3,)),
+                                           (MsgO((True, 3)), SetTimer(3))), "n")
+        for id in ("s_demo", "t")
+    ]
 
 
 def test_load_table_file_round_trips(tmp_path):

@@ -20,6 +20,7 @@ from abpsim import (
     format_value,
     parse_value,
 )
+from abpsim.literals import _TOKEN
 
 
 @pytest.mark.parametrize("text,value", [
@@ -250,3 +251,94 @@ def test_parse_value_raises_only_value_errors_on_any_text(text):
 @given(st.lists(st.sampled_from(_SOUP + ["\t", "x", "99999999999999999999"]), max_size=30))
 def test_parse_value_raises_only_value_errors_on_token_soup(tokens):
     _value_errors_only("".join(tokens))
+
+
+# ------------------------------------------------------------- flat runs
+
+# A flat run, "[" items "]" of only integers or only booleans, is one token
+# that the tokenizer converts whole; it must read as its items one by one.
+_SPACE = st.text(st.sampled_from([" ", "\t", "\n", "\r", "\f", "\v", "\u2003", "\u00a0", "\x1c"]),
+                 max_size=2)
+_INT_ITEMS = st.builds(lambda sign, digits: sign + digits, st.sampled_from(["", "-"]),
+                       st.text(st.sampled_from("0123456789\u0663\u0966"), min_size=1, max_size=4))
+_FLAT_ITEMS = st.lists(_INT_ITEMS, min_size=1, max_size=6) | st.lists(
+    st.sampled_from(["true", "false"]), min_size=1, max_size=6)
+
+
+@st.composite
+def _flat_runs(draw):
+    """(text of a flat run with whitespace around its items, its items)."""
+    items = draw(_FLAT_ITEMS)
+    return "[" + ",".join(draw(_SPACE) + item + draw(_SPACE) for item in items) + "]", items
+
+
+@given(_flat_runs())
+def test_flat_run_reads_as_its_items(run):
+    text, items = run
+    expected = tuple(parse_value(item) for item in items)
+    # repr tells true from 1, which == does not.
+    assert repr(parse_value(text)) == repr(expected)
+    assert len(_TOKEN.findall(text)) == 1
+
+
+@given(_flat_runs(), st.integers(0, 9))
+def test_flat_run_reads_as_its_items_one_level_down(run, position):
+    text, items = run
+    expected = tuple(parse_value(item) for item in items)
+    assert repr(parse_value(f"[true,{text}]")) == repr((True, expected))
+    oracle = f"Oracle({text},{position})"
+    if all(isinstance(bit, bool) for bit in expected):
+        assert parse_value(oracle) == OracleCursor(OracleSpec.explicit(expected), position)
+    else:
+        with pytest.raises(LiteralError, match="Oracle bits must be booleans"):
+            parse_value(oracle)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("[007,-0,\u0663]", (7, 0, 3)),
+    ("[ true , false\x1c]", (True, False)),
+    ("[true,3]", (True, 3)),
+    ("[[1,2],[true]]", ((1, 2), (True,))),
+])
+def test_flat_run_examples(text, value):
+    assert repr(parse_value(text)) == repr(value)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("Msg[1,2]", "expected '(' but found '[' in 'Msg[1,2]'"),
+    ("1 [2,3]", "trailing input '[' in '1 [2,3]'"),
+    ("[1 [2,3]]", "expected ',' or ']' but found '[' in '[1 [2,3]]'"),
+    ("[1 2]", "expected ',' or ']' but found '2' in '[1 2]'"),
+    ("[1,2", "unexpected end of input in '[1,2'"),
+])
+def test_flat_run_errors_name_its_opening_bracket(text, message):
+    with pytest.raises(LiteralError) as err:
+        parse_value(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("run", ["[1,2]", "[true]"])
+def test_flat_run_counts_as_one_nesting_level(run):
+    nested = (1, 2) if run == "[1,2]" else (True,)
+    for _ in range(99):
+        nested = (nested,)
+    assert parse_value("[" * 99 + run + "]" * 99) == nested
+    with pytest.raises(LiteralError, match="nests deeper than 100 levels"):
+        parse_value("[" * 100 + run + "]" * 100)
+
+
+def test_flat_run_past_the_int_digit_limit_fails_where_its_item_would():
+    # Past int's digit limit the item's error comes from the parse loop, so
+    # checks that come first in the text still come first.
+    big = "9" * 5000
+    try:
+        expected = repr((int(big),))
+    except ValueError as exc:
+        expected = f"ValueError: {exc}"
+    assert _outcome(f"[ {big} ]") == expected
+    # A stray character's position is where its token's leading space starts.
+    assert _outcome(f"[{big}] @") == (
+        f"LiteralError: unexpected character '@' at position {len(big) + 2} in '[{big}] @'")
+    assert _outcome(f"true [{big}]") == f"LiteralError: trailing input '[' in 'true [{big}]'"
+    assert _outcome("[" * 100 + f"[{big}]" + "]" * 100) == (
+        "LiteralError: literal nests deeper than 100 levels")
