@@ -9,8 +9,10 @@ replayable random scenario file.
 Exit codes: 0 success, 1 test or model failure, 2 usage or parse error.
 JSON output is byte-deterministic for identical inputs: every document is
 written by `_json_text`, whose bytes equal ``json.dumps(doc,
-sort_keys=True, indent=2)`` plus a newline, and a `wires` section renders
-each distinct slot once.  Human output honors NO_COLOR.
+sort_keys=True, indent=2)`` plus a newline.  A `wires` section renders each
+distinct slot once, in both formats, and encodes each wire's whole `slots`
+array as one text with no interpreted step per slot.  Human output honors
+NO_COLOR.
 """
 
 from __future__ import annotations
@@ -77,28 +79,47 @@ def _render_payload(payload) -> str:
     return format_value(payload, strict=False)
 
 
+def _rendered_slots(slots, render) -> List[str]:
+    """``render(slot)`` for each slot, called once per distinct slot; slots
+    are told apart by repr, since ``(True,)`` and ``(1,)`` compare equal."""
+    keys = list(map(repr, slots))
+    texts = dict(zip(keys, slots))
+    for key, slot in texts.items():
+        texts[key] = render(slot)
+    return list(map(texts.__getitem__, keys))
+
+
+def _slot_text(slot) -> str:
+    return " ".join([*map(_render_payload, slot), "~"])
+
+
 def _wire_text(slots) -> str:
-    parts = []
-    for slot in slots:
-        parts.extend(map(_render_payload, slot))
-        parts.append("~")
-    return " ".join(parts)
+    return " ".join(_rendered_slots(slots, _slot_text))
+
+
+class _JsonText(str):
+    """JSON text written at indent 0, which `_json_value` embeds as it stands,
+    re-indented to the depth it sits at."""
+
+    __slots__ = ()
+
+
+def _slot_json(slot) -> str:
+    # A slot's list of payload literals, one level inside its wire's list.
+    if not slot:
+        return "[]"
+    return _joined("[\n    ", [_encode_str(_render_payload(p)) for p in slot], ",\n    ",
+                   "\n  ]")
 
 
 def _wires_json(wires) -> List[dict]:
     """The JSON `wires` list for (name, slots) pairs: each slot a list of
-    payload literals.  Each distinct slot is rendered once; slots are told
-    apart by repr, since ``(True,)`` and ``(1,)`` compare equal."""
-    rendered: Dict[str, List[str]] = {}
-
-    def render(slot):
-        key = repr(slot)
-        literals = rendered.get(key)
-        if literals is None:
-            literals = rendered[key] = [_render_payload(p) for p in slot]
-        return literals
-
-    return [{"name": wire, "slots": list(map(render, slots))} for wire, slots in wires]
+    payload literals.  A wire's `slots` is one `_JsonText`, in which each
+    distinct slot is rendered once."""
+    return [{"name": wire, "slots": _JsonText(
+                _joined("[\n  ", _rendered_slots(slots, _slot_json), ",\n  ", "\n]")
+                if slots else "[]")}
+            for wire, slots in wires]
 
 
 def _emit(text: str, out_path: Optional[str]):
@@ -114,10 +135,32 @@ def _emit(text: str, out_path: Optional[str]):
 
 def _json_text(doc: dict) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte,
-    for documents of str-keyed dicts, lists, tuples, str, int, bool, None
-    and float.  The stdlib encodes indented JSON in pure Python; this
-    writer makes one call per container and none per string."""
-    return _json_value(doc, "\n") + "\n"
+    for documents of str-keyed dicts, lists, tuples, str, int, bool, None,
+    float and `_JsonText`.  The stdlib encodes indented JSON in pure Python;
+    this writer makes one call per container and none per string, and joins
+    each container, the document's final newline included, in one `join`."""
+    if not doc:
+        return "{}\n"
+    return _joined("{\n  ", _members(doc, "\n  "), ",\n  ", "\n}\n")
+
+
+def _joined(head: str, items: List[str], sep: str, tail: str) -> str:
+    """``head + sep.join(items) + tail`` for a non-empty `items`, which it
+    changes.  The text of a large container is copied once, by the join;
+    only its first and last items are copied again."""
+    items[0] = head + items[0]
+    items[-1] += tail
+    return sep.join(items)
+
+
+def _members(value: dict, inner: str) -> List[str]:
+    """The ``"key": value`` texts of a non-empty dict's members, sorted by key."""
+    members = []
+    for key in sorted(value):
+        item = value[key]
+        members.append(_encode_str(key) + ": " + (
+            _encode_str(item) if type(item) is str else _json_value(item, inner)))
+    return members
 
 
 def _json_value(value, newline: str) -> str:
@@ -129,17 +172,15 @@ def _json_value(value, newline: str) -> str:
         inner = newline + "  "
         items = [_encode_str(item) if type(item) is str else _json_value(item, inner)
                  for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return _joined("[" + inner, items, "," + inner, newline + "]")
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = newline + "  "
-        members = []
-        for key in sorted(value):
-            item = value[key]
-            members.append(_encode_str(key) + ": " + (
-                _encode_str(item) if type(item) is str else _json_value(item, inner)))
-        return "{" + inner + ("," + inner).join(members) + newline + "}"
+        return _joined("{" + inner, _members(value, inner), "," + inner, newline + "}")
+    if type(value) is _JsonText:
+        # An encoded string holds no raw newline, so every "\n" is a line break.
+        return value.replace("\n", newline)
     if isinstance(value, str):
         return _encode_str(value)
     if value is None:

@@ -106,7 +106,7 @@ def parse_value(text: str) -> Any:
             elif bools is not None:
                 token = tuple([*map(_BOOLS.__getitem__, map(str.strip, bools.split(",")))])
             else:
-                raise LiteralError(f"unexpected character {stray!r} at position {match.start()} in {text!r}")
+                raise LiteralError(f"unexpected character {stray!r} at position {match.start(4)} in {text!r}")
         tokens.append(token)
     end = len(tokens)
     tokens.append(None)  # reading this sentinel means the text ended early

@@ -19,6 +19,7 @@ from abpsim import (
     PathCase,
     SetTimer,
     bundled_scenario,
+    format_value,
     generate_scenario,
     scenario_digest,
 )
@@ -635,9 +636,44 @@ def test_json_text_is_the_stdlib_indented_sorted_encoding(doc):
 def test_wires_json_tells_equal_slots_of_different_types_apart():
     slots = [(True,), (1,), (True, 1), (1, 1), (1,), (True, 1), ((True, 1),), ((1, 1),)]
     wires = cli._wires_json([("a", slots), ("b", slots[::-1])])
-    assert wires[0]["slots"] == [["true"], ["1"], ["true", "1"], ["1", "1"], ["1"],
-                                 ["true", "1"], ["[true,1]"], ["[1,1]"]]
-    assert wires[1]["slots"] == wires[0]["slots"][::-1]
+    a, b = (json.loads(wire["slots"]) for wire in wires)
+    assert a == [["true"], ["1"], ["true", "1"], ["1", "1"], ["1"],
+                 ["true", "1"], ["[true,1]"], ["[1,1]"]]
+    assert b == a[::-1]
+
+
+def test_wire_text_tells_equal_slots_of_different_types_apart():
+    slots = [(True,), (1,), (), (True, 1), (1, 1), (1,), (True,), ((True, 1),), ((1, 1),)]
+    assert cli._wire_text(slots) == ("true ~ 1 ~ ~ true 1 ~ 1 1 ~ 1 ~ true ~ "
+                                     "[true,1] ~ [1,1] ~")
+    assert cli._wire_text([]) == ""
+
+
+# A slot payload: an int, a bool, a signed message (bool, int), or a nested
+# tuple of those; (True,) and (1,) compare equal but render differently.
+_payloads = st.recursive(
+    st.integers(-5, 5) | st.booleans() | st.tuples(st.booleans(), st.integers(0, 3)),
+    lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6)
+_slots = st.lists(st.sampled_from([(), (True,), (1,), (False,), (0,)])
+                  | st.lists(_payloads, max_size=3).map(tuple), max_size=12)
+_wires = st.lists(st.tuples(st.text(max_size=3), _slots), max_size=4)
+
+
+@given(_wires)
+@example([("a", [(True,), (1,), (), (True,), ((True, 1),), ((1, 1),)]), ("b", [])])
+def test_wires_json_is_the_stdlib_encoding_of_its_literals(wires):
+    plain = [{"name": name, "slots": [[format_value(p, strict=False) for p in slot]
+                                      for slot in slots]}
+             for name, slots in wires]
+    doc = {"meta": {"tool": "abpsim"}, "wires": cli._wires_json(wires), "verdicts": [],
+           "coverage": None}
+    expected = {**doc, "wires": plain}
+    assert cli._json_text(doc) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    # A FAIL identity row of `test` embeds its wires three levels deeper.
+    row = {"kind": "identity", "status": "fail", "wires": cli._wires_json(wires)}
+    doc = {"meta": {}, "wires": [], "verdicts": [{"id": 1}, row], "coverage": None}
+    expected = {**doc, "verdicts": [{"id": 1}, {**row, "wires": plain}]}
+    assert cli._json_text(doc) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 # ------------------------------------------------------- pinned documents

@@ -78,6 +78,13 @@ def test_parse_rejects_malformed_text(text):
         parse_value(text)
 
 
+@pytest.mark.parametrize("text,position", [("[1] @", 4), ("  @", 2), ("[1,  @]", 5), ("@", 0)])
+def test_stray_character_position_is_its_own_index(text, position):
+    with pytest.raises(LiteralError) as err:
+        parse_value(text)
+    assert str(err.value) == f"unexpected character '@' at position {position} in {text!r}"
+
+
 def test_parse_accepts_100_nesting_levels():
     sequences, messages = (), 1
     for _ in range(99):
@@ -233,7 +240,7 @@ def test_parse_value_outcomes_are_pinned():
     digest = hashlib.sha256()
     for text in _corpus():
         digest.update(f"{text!r}\t{_outcome(text)}\n".encode())
-    assert digest.hexdigest() == "6c007b1d2616a25c2ddde96adb5b4426578527f41278f62555cfe26af0ed59a2"
+    assert digest.hexdigest() == "172f76141039742b9151e5b0f12433ae83f6f384afb43048b57eaeaa29d04c23"
 
 
 def _value_errors_only(text):
@@ -336,9 +343,8 @@ def test_flat_run_past_the_int_digit_limit_fails_where_its_item_would():
     except ValueError as exc:
         expected = f"ValueError: {exc}"
     assert _outcome(f"[ {big} ]") == expected
-    # A stray character's position is where its token's leading space starts.
     assert _outcome(f"[{big}] @") == (
-        f"LiteralError: unexpected character '@' at position {len(big) + 2} in '[{big}] @'")
+        f"LiteralError: unexpected character '@' at position {len(big) + 3} in '[{big}] @'")
     assert _outcome(f"true [{big}]") == f"LiteralError: trailing input '[' in 'true [{big}]'"
     assert _outcome("[" * 100 + f"[{big}]" + "]" * 100) == (
         "LiteralError: literal nests deeper than 100 levels")
