@@ -27,7 +27,7 @@ the counter.  ``SetTimer -1`` disables the timer.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, count, islice, repeat
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .streams import Msg, Tick, TimedStream, _Value
@@ -412,27 +412,35 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
     wire's history.  Identical spec, inputs and slot count give identical
     histories; a negative slot count raises ValueError.
 
-    Each round, the first included, feeds every external wire one slot and
+    Each external wire is read once, up front: at most `slots` slots of its
+    stream go straight into its history.  Each round, the first included,
     then steps every component once (its `_round_step`), in topological
     order of the initializer-broken wiring graph (but see quiet rounds
     below).  Initializers pre-fill whole slots at the head of their wires
     (see `NetworkSpec.initialize`).  A reader in round i always finds slot
-    i of its wire: external wires are fed first, an undelayed wire's
+    i of its wire: external wires are read first, an undelayed wire's
     producer steps before its readers, and a delayed wire starts a
     pre-filled slot ahead.  So the only deadlock is a failed schedule,
     raised as DeadlockDetected before any delta is called.
 
-    Quiet rounds are fast-forwarded.  Once a round leaves every component
+    An input error is raised in its own round, before that round steps any
+    component, as if each wire were fed one slot per round: a stream that
+    ends early or yields a slot that is not a tuple raises ModelError, and
+    an exception from the stream's own iterator propagates.  So a delta
+    that fails in an earlier round still wins, and in one round the first
+    wire in feed order wins.
+
+    Quiet rounds are jumped over.  Once a round leaves every component
     state equal (``==``) to its state before the round, and every wire is
-    empty from that slot on (slots initializers filled ahead included), the
-    network is at a fixed point: while every external wire is fed an empty
-    slot, no delta is called and no produced wire is touched; on the next
-    non-empty fed slot, or at the end, each produced wire gets the empty
-    slots of the quiet stretch at once, and stepping resumes.  This relies
-    on the contract of every delta: it is pure, and states that compare
-    equal behave alike.  A state that never compares equal to its
-    predecessor just disables the shortcut; the histories are the same
-    either way.
+    empty from that slot on (slots initializers filled ahead included, fed
+    slots of later rounds not), the network is at a fixed point: no delta
+    is called and no produced wire is touched until the next round with a
+    non-empty fed slot.  The run jumps straight there, or to the end, each
+    produced wire gets the empty slots of the quiet stretch at once, and
+    stepping resumes.  This relies on the contract of every delta: it is
+    pure, and states that compare equal behave alike.  A state that never
+    compares equal to its predecessor just disables the shortcut; the
+    histories are the same either way.
     """
     if slots < 0:
         raise ValueError(f"slot count must be >= 0, got {slots}")
@@ -448,52 +456,67 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
     history: Dict[str, List[tuple]] = {w: [] for w in spec.wire_order}
     for wire, prefilled in spec._initializers.items():
         history[wire].extend(prefilled)
-    feeds = [(wire, history[wire], stream.slots()) for wire, stream in external.items()]
+    # Per wire, the slots the settle check reads after round i: slot i and
+    # those its initializer fills ahead.
+    ahead = [(history[w], len(history[w]) + 1) for w in spec.wire_order]
+
+    # `stop` is the round of the first input error, `slots` without one.
+    stop, failure = slots, None
+    fed = []
+    for wire, stream in external.items():
+        wire_history = history[wire]
+        start = len(wire_history)
+        feed, error = islice(stream.slots(), slots), None
+        try:
+            wire_history.extend(feed)
+        except Exception as exc:  # the stream's own, raised in its round below
+            error = exc
+        # `read` becomes the round this wire fails in, if it fails.
+        read = len(wire_history) - start
+        if not all(map(isinstance, islice(wire_history, start, None), repeat(tuple))):
+            read, slot = next((i, slot) for i, slot in enumerate(wire_history[start:])
+                              if not isinstance(slot, tuple))
+            error = ModelError(f"external wire {wire!r} was fed a {type(slot).__name__} "
+                               f"in slot {read}, not a tuple of payloads")
+        elif error is None and read < slots:
+            error = ModelError(f"external input ended after {read} slots, {slots} requested")
+        if error is not None and read < stop:
+            stop, failure = read, error
+        fed.append(islice(wire_history, start, start + read))
+    # The rounds with a non-empty fed slot, up to `stop` at least, found as
+    # the run goes: the only ones a settled network must wake for.  A jump
+    # past `stop` only ends the run on its error.  A lone wire is scanned
+    # as it is: through `zip` and `any` its scan costs about three times
+    # as much.
+    wakes = compress(count(), fed[0] if len(fed) == 1 else map(any, zip(*fed)))
+    wake = next(wakes, slots)  # the first such round at or after `index`
+
     plan = [_round_step(comp, history) for comp in order]
     produced = [history[wire] for comp in order for wire in comp.outputs]
     states = [comp.start for comp in order]
-    settled = 0  # the first round of a quiet stretch (never 0); 0 while stepping
-
-    def pad(upto):
-        for wire_history in produced:
-            wire_history.extend(repeat((), upto - settled))
-
-    for index in range(slots):
-        quiet = True
-        for wire, wire_history, feed in feeds:
-            try:
-                slot = next(feed)
-            except StopIteration:
-                raise ModelError(
-                    f"external input ended after {index} slots, {slots} requested"
-                ) from None
-            if not isinstance(slot, tuple):
-                raise ModelError(f"external wire {wire!r} was fed a {type(slot).__name__} "
-                                 f"in slot {index}, not a tuple of payloads")
-            wire_history.append(slot)
-            if slot:
-                quiet = False
-        if settled:
-            if quiet:
-                continue
-            pad(index)
-            settled = 0
+    index = 0
+    while index < stop:
         # A non-empty fed slot rules out settling this round, so then no
         # state needs comparing.
-        unchanged = quiet
+        unchanged = index != wake
+        if not unchanged:
+            wake = next(wakes, slots)
         for position, advance in enumerate(plan):
             state = states[position]
             states[position] = new = advance(state, index)
             if unchanged:
                 unchanged = new == state
-        # Settled once no state moved and every slot a later round reads
-        # without a further step is empty: slot `index` and the slots
-        # initializers filled ahead.
-        if unchanged and not any(any(wire_history[index:]) for wire_history in history.values()):
-            settled = index + 1
+        if unchanged and not any(any(wire_history[index:index + reach])
+                                 for wire_history, reach in ahead):
+            # Settled: rounds index + 1 to wake - 1 would step nothing.
+            for wire_history in produced:
+                wire_history.extend(repeat((), wake - index - 1))
+            index = wake
+        else:
+            index += 1
 
-    if settled:
-        pad(slots)
+    if failure is not None:
+        raise failure
     for wire_history in history.values():
         del wire_history[slots:]
     return NetworkRun(spec.wire_order, history)

@@ -341,7 +341,7 @@ class ScenarioSpec(_Value):
     __slots__ = ("name", "payload_slots", "horizon", "data_oracle", "ack_oracle", "timeout",
                  "sender_bit", "receiver_bit", "seed")
 
-    def __init__(self, name: str, payload_slots: Tuple[Tuple[int, ...], ...], horizon: int,
+    def __init__(self, name: str, payload_slots: Iterable[Iterable[int]], horizon: int,
                  data_oracle: OracleSpec, ack_oracle: OracleSpec, timeout: int = RESEND_TIMEOUT,
                  sender_bit: bool = True, receiver_bit: bool = True, seed: Optional[int] = None):
         object.__setattr__(self, "name", name)
@@ -450,7 +450,7 @@ class ScenarioSpec(_Value):
 
         return cls(
             name=name,
-            payload_slots=tuple(tuple(slot) for slot in slots),
+            payload_slots=slots,
             horizon=read_int("horizon", minimum=1),
             data_oracle=read_oracle("data_oracle"),
             ack_oracle=read_oracle("ack_oracle"),
@@ -523,7 +523,7 @@ def generate_scenario(seed: int,
     ack_oracle = OracleSpec.bernoulli(1.0 - drop_ack, rng.randrange(2**32))
     return ScenarioSpec(
         name=f"seed-{seed}",
-        payload_slots=tuple(tuple(slot) for slot in payload_slots),
+        payload_slots=payload_slots,
         horizon=horizon,
         data_oracle=data_oracle,
         ack_oracle=ack_oracle,

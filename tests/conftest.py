@@ -90,33 +90,35 @@ def _reference_run(spec, external, slots):
     """Every wire's history over `slots` slots by the plain per-slot rule,
     kept apart from `run_network` as the reference it must match.
 
-    Each round feeds every external wire its next slot, read from the
-    stream's Msg/Tick items, then steps the components in schedule order:
-    each tick-aware delta gets the slot's messages (tagged FromA/FromB with
-    two inputs) and then one tick.  There is no slot-step adapter and no
-    fast-forward.  Only the schedule and the initializers' pre-filled slots
-    come from `spec`.  Errors carry the messages `run_network` gives them."""
+    Each round feeds every external wire its next slot, read lazily from
+    the stream, then steps the components in schedule order: each
+    tick-aware delta gets the slot's messages (tagged FromA/FromB with two
+    inputs) and then one tick.  There is no slot-step adapter, no read
+    ahead and no fast-forward.  Only the schedule and the initializers'
+    pre-filled slots come from `spec`.  Errors carry the messages
+    `run_network` gives them, and an exception of a stream's own iterator
+    comes out in the round that reads it."""
     order = spec._schedule()
     history = {wire: [] for wire in spec.wire_order}
     for wire, prefilled in spec._initializers.items():
         history[wire].extend(prefilled)
-    feeds = {wire: stream.items() for wire, stream in external.items()}
+    feeds = {wire: stream.slots() for wire, stream in external.items()}
     states = {comp.name: comp.start for comp in order}
 
     def put(wire, payloads):
         history[wire].append(tuple(payloads))
 
     for index in range(slots):
-        for wire, items in feeds.items():
-            payloads = []
-            for item in items:
-                if item is Tick:
-                    break
-                payloads.append(item.payload)
-            else:
-                assert not payloads, "items() ended inside a slot"
-                raise ModelError(f"external input ended after {index} slots, {slots} requested")
-            put(wire, payloads)
+        for wire, feed in feeds.items():
+            try:
+                slot = next(feed)
+            except StopIteration:
+                raise ModelError(
+                    f"external input ended after {index} slots, {slots} requested") from None
+            if not isinstance(slot, tuple):
+                raise ModelError(f"external wire {wire!r} was fed a {type(slot).__name__} "
+                                 f"in slot {index}, not a tuple of payloads")
+            put(wire, slot)
         for comp in order:
             if len(comp.inputs) == 2:
                 first, second = (history[wire][index] for wire in comp.inputs)

@@ -458,15 +458,37 @@ def components(draw, n_outputs):
     return (total, draw(st.sampled_from([-1, -1, 1, 3]))), attach_timer(inner)
 
 
+# Where a fed slot is FAULT, the stream's own iterator raises KeyError.
+FAULT = "fault"
+idle_gaps = st.one_of(st.integers(0, 4), st.integers(0, 30), st.integers(0, 300))
+
+
 def _idle_gapped_slots(draw, length):
-    # Payload slots separated by idle gaps of up to 30 slots, cut or padded
-    # to `length`.
+    # Payload slots separated by idle gaps of up to 300 slots, cut or padded
+    # to `length`.  One wire in four has a slot at a drawn index fed as a
+    # list, and one in four a FAULT at a drawn index.
     slots = []
     for gap, payloads in draw(st.lists(
-            st.tuples(st.integers(0, 30), st.lists(st.integers(0, 4), min_size=1, max_size=2)),
-            max_size=3)):
+            st.tuples(idle_gaps, st.lists(st.integers(0, 4), min_size=1, max_size=2)),
+            max_size=5)):
         slots += [()] * gap + [tuple(payloads)]
-    return (slots + [()] * length)[:length]
+    slots = (slots + [()] * length)[:length]
+    for bad in (list, lambda slot: FAULT):
+        if slots and draw(st.sampled_from([False, False, False, True])):
+            index = draw(st.integers(0, length - 1))
+            slots[index] = bad(slots[index])
+    return slots
+
+
+def _fed_stream(slots):
+    # The slots as they stand, lists included; a FAULT raises KeyError.
+    def source():
+        for index, slot in enumerate(slots):
+            if slot == FAULT:
+                raise KeyError(f"stream fault in slot {index}")
+            yield slot
+
+    return TimedStream(source)
 
 
 def _slot_by_slot(step, start, slots):
@@ -539,7 +561,7 @@ def stateful_networks(draw):
                 initializers.setdefault(wire, [Tick])
     for wire, initializer in initializers.items():
         net.initialize(wire, initializer)
-    slots = draw(st.integers(1, 90))
+    slots = draw(st.one_of(st.integers(1, 90), st.integers(90, 600)))
     short = draw(st.sampled_from([False, False, False, True]))
     length = draw(st.integers(0, slots - 1)) if short else slots
     external = {wire: _idle_gapped_slots(draw, length) for wire in net.external_wires()}
@@ -554,7 +576,7 @@ def _outcome(evaluate, net, external, slots):
     # Every wire history `evaluate` records, or the type and message of the
     # error it raises.
     try:
-        return evaluate(net, {w: inject_ticks(s) for w, s in external.items()}, slots)
+        return evaluate(net, {w: _fed_stream(s) for w, s in external.items()}, slots)
     except Exception as exc:  # the differential compares errors too
         return type(exc).__name__, str(exc)
 
@@ -592,6 +614,48 @@ def test_fast_forward_resumes_on_late_input_and_keeps_short_input_errors():
     assert run.slots["b"] == [(), (), (2,)] + [()] * 40 + [(6,)] + [()] * 8
     with pytest.raises(ModelError, match="external input ended after 52 slots, 60 requested"):
         run_network(net, {"a": inject_ticks(fed)}, 60)
+
+
+# ----------------------------------------- input errors in their own rounds
+
+
+@pytest.mark.parametrize("fussy, error, message, seen", [
+    (True, ModelError, "fussy about 2", [0, 1, 2]),
+    (False, KeyError, "stream fault in slot 5", [0, 1, 2, 3, 4]),
+], ids=["delta-fails-first", "stream-fails"])
+def test_a_stream_error_surfaces_in_its_own_round(reference_run, fussy, error, message, seen):
+    # Read ahead or not, a delta failing in slot 2 beats the stream failing
+    # in slot 5, and without it no delta is called for slot 5 or later.
+    def forward(state, p):
+        recorded.append(p)
+        if fussy and p == 2:
+            raise ModelError("fussy about 2")
+        return state, (p,)
+
+    net = NetworkSpec()
+    net.add_machine("fwd", None, lift_timed(forward), inputs=["a"], outputs=["b"])
+    fed = [(0,), (1,), (2,), (3,), (4,), FAULT, (6,), (7,)]
+    for evaluate in (run_network, reference_run):
+        recorded = []
+        with pytest.raises(error, match=message):
+            evaluate(net, {"a": _fed_stream(fed)}, 8)
+        assert recorded == seen
+
+
+@pytest.mark.parametrize("fed_a, fed_b, error", [
+    # In one round the first wire in feed order wins; an earlier round wins
+    # whatever the order.
+    ([(1,), FAULT], [(), [2]], KeyError),
+    ([(1,), [2]], [(), FAULT], ModelError),
+    ([(1,), (), FAULT], [(), [2]], ModelError),
+    ([(1,), [2]], [(), (), FAULT], ModelError),
+])
+def test_input_errors_come_out_by_round_then_feed_order(reference_run, fed_a, fed_b, error):
+    net = NetworkSpec()
+    net.add_machine("c", 0, lift_timed(_counting(1)), inputs=["a", "b"], outputs=["x"])
+    for evaluate in (run_network, reference_run):
+        with pytest.raises(error, match="slot 1"):
+            evaluate(net, {"a": _fed_stream(fed_a), "b": _fed_stream(fed_b)}, 3)
 
 
 # ------------------------------------------- quiet stretches padded at once
@@ -643,6 +707,8 @@ LATE = [(2,)] + [()] * 10 + [(3,)]
     (MESSAGE_AND_TWO_TICKS, [(2,)], 1, 1),
     (ONE_TICK, [(2,)], 0, 0),
     (MESSAGE_AND_TWO_TICKS, [(2,)], 0, 0),
+    # Read up front and jumped over, a long quiet tail steps no more rounds.
+    (ONE_TICK, LATE, 100_000, 9),
 ])
 def test_quiet_stretches_are_padded_to_the_reference_histories(reference_run, initializer, fed,
                                                                slots, stepped):
