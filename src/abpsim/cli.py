@@ -6,13 +6,16 @@ and end-to-end identity scenarios; ``coverage`` runs the same suites under
 instrumentation and reports catalog coverage; ``generate`` writes a
 replayable random scenario file.
 
-Exit codes: 0 success, 1 test or model failure, 2 usage or parse error.
-JSON output is byte-deterministic for identical inputs: every document is
-written by `_json_text`, whose bytes equal ``json.dumps(doc,
-sort_keys=True, indent=2)`` plus a newline.  A `wires` section renders each
-distinct slot once, in both formats, and encodes each wire's whole `slots`
-array as one text with no interpreted step per slot.  Human output honors
-NO_COLOR.
+Exit codes: 0 success, 1 test or model failure, 2 usage or parse error (a
+report that cannot be written to ``--out`` or stdout is one).  JSON output
+is byte-deterministic for identical inputs: its bytes equal
+``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline.  `_emit`
+writes every document as it is rendered.  The JSON skeleton is joined by
+`_json_text`, with each wire's `slots` left out; each wire, in both
+formats, is rendered and written a block of `_BLOCK` slots at a time, so
+no text holds a whole wire or document.  Each distinct slot of a wire is
+rendered once, while at most `_KEPT_TEXTS` texts are kept, and each block
+is joined with no interpreted step per slot.  Human output honors NO_COLOR.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import random
 import sys
 from collections import Counter
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import __version__
 from .abp import OracleExhausted
@@ -79,69 +82,106 @@ def _render_payload(payload) -> str:
     return format_value(payload, strict=False)
 
 
-def _rendered_slots(slots, render) -> List[str]:
-    """``render(slot)`` for each slot, called once per distinct slot; slots
-    are told apart by repr, since ``(True,)`` and ``(1,)`` compare equal."""
+def _rendered_slots(slots, render, texts: dict) -> List[str]:
+    """``render(slot)`` for each slot, called once per distinct slot whose
+    text `texts` does not hold yet, which then holds it.  Slots are told
+    apart by repr, since ``(True,)`` and ``(1,)`` compare equal."""
     keys = list(map(repr, slots))
-    texts = dict(zip(keys, slots))
-    for key, slot in texts.items():
-        texts[key] = render(slot)
+    fresh = dict(zip(keys, slots))
+    for key in fresh.keys() - texts.keys():
+        texts[key] = render(fresh[key])
     return list(map(texts.__getitem__, keys))
+
+
+# Slots rendered per piece of a wire's text: the most of a wire that any one
+# text holds.
+_BLOCK = 1024
+# Most distinct slot texts kept from one block of a wire for the next ones.
+_KEPT_TEXTS = 4 * _BLOCK
+
+
+def _blocks(slots, render, sep: str) -> Iterator[str]:
+    """``sep.join(map(render, slots))`` in pieces of `_BLOCK` slots, each
+    rendered when the one before it has been consumed.  Each distinct slot
+    is rendered once, unless the wire has more than `_KEPT_TEXTS` of them."""
+    texts: Dict[str, str] = {}
+    head = ""
+    for start in range(0, len(slots), _BLOCK):
+        if len(texts) > _KEPT_TEXTS:
+            texts.clear()
+        yield _joined(head, _rendered_slots(slots[start:start + _BLOCK], render, texts),
+                      sep, "")
+        head = sep
 
 
 def _slot_text(slot) -> str:
     return " ".join([*map(_render_payload, slot), "~"])
 
 
-def _wire_text(slots) -> str:
-    return " ".join(_rendered_slots(slots, _slot_text))
+class _Slots:
+    """A wire's `slots` in a document: `_json_chunks` renders them where
+    they sit, a block at a time, each slot a list of payload literals."""
 
+    __slots__ = ("slots",)
 
-class _JsonText(str):
-    """JSON text written at indent 0, which `_json_value` embeds as it stands,
-    re-indented to the depth it sits at."""
-
-    __slots__ = ()
-
-
-def _slot_json(slot) -> str:
-    # A slot's list of payload literals, one level inside its wire's list.
-    if not slot:
-        return "[]"
-    return _joined("[\n    ", [_encode_str(_render_payload(p)) for p in slot], ",\n    ",
-                   "\n  ]")
+    def __init__(self, slots):
+        self.slots = slots
 
 
 def _wires_json(wires) -> List[dict]:
-    """The JSON `wires` list for (name, slots) pairs: each slot a list of
-    payload literals.  A wire's `slots` is one `_JsonText`, in which each
-    distinct slot is rendered once."""
-    return [{"name": wire, "slots": _JsonText(
-                _joined("[\n  ", _rendered_slots(slots, _slot_json), ",\n  ", "\n]")
-                if slots else "[]")}
-            for wire, slots in wires]
+    """The JSON `wires` list for (name, slots) pairs, each wire's slots
+    left for `_json_chunks` to render."""
+    return [{"name": wire, "slots": _Slots(slots)} for wire, slots in wires]
 
 
-def _emit(text: str, out_path: Optional[str]):
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise UsageError(f"--out {out_path}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.write(text)
+def _slots_json(slots, newline: str) -> Iterator[str]:
+    """The JSON text of a wire's `slots` in pieces; `newline` is a newline
+    and the indent of the line the list starts on."""
+    if not slots:
+        yield "[]"
+        return
+    inner = newline + "  "
+    head, sep, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+
+    def slot_json(slot) -> str:
+        # A slot's list of payload literals, one level inside the wire's list.
+        if not slot:
+            return "[]"
+        return _joined(head, [_encode_str(_render_payload(p)) for p in slot], sep, tail)
+
+    yield "[" + inner
+    yield from _blocks(slots, slot_json, "," + inner)
+    yield newline + "]"
 
 
-def _json_text(doc: dict) -> str:
+# Stands in the document text for each `_Slots`; never in encoded JSON, since
+# `_encode_str` escapes every control character.
+_MARK = "\x00"
+
+
+def _json_chunks(doc: dict) -> Iterator[str]:
+    """The JSON text of `doc`, as `_json_text` gives it, in pieces.  The
+    document is joined with a `_MARK` for each `_Slots`, whose slots are
+    rendered at the mark's depth as the pieces are consumed."""
+    deferred: List[Tuple[Any, str]] = []
+    pieces = iter(_json_text(doc, deferred).split(_MARK))
+    yield next(pieces)
+    for (slots, newline), piece in zip(deferred, pieces):
+        yield from _slots_json(slots, newline)
+        yield piece
+
+
+def _json_text(doc: dict, deferred: Optional[list] = None) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte,
-    for documents of str-keyed dicts, lists, tuples, str, int, bool, None,
-    float and `_JsonText`.  The stdlib encodes indented JSON in pure Python;
-    this writer makes one call per container and none per string, and joins
-    each container, the document's final newline included, in one `join`."""
+    for documents of str-keyed dicts, lists, tuples, str, int, bool, None
+    and float; each `_Slots` becomes a `_MARK`, its slots and the newline
+    of its line appended to `deferred`.  The stdlib encodes indented JSON
+    in pure Python; this writer makes one call per container and none per
+    string, and joins each container, the document's final newline
+    included, in one `join`."""
     if not doc:
         return "{}\n"
-    return _joined("{\n  ", _members(doc, "\n  "), ",\n  ", "\n}\n")
+    return _joined("{\n  ", _members(doc, "\n  ", deferred), ",\n  ", "\n}\n")
 
 
 def _joined(head: str, items: List[str], sep: str, tail: str) -> str:
@@ -153,34 +193,35 @@ def _joined(head: str, items: List[str], sep: str, tail: str) -> str:
     return sep.join(items)
 
 
-def _members(value: dict, inner: str) -> List[str]:
+def _members(value: dict, inner: str, deferred: Optional[list]) -> List[str]:
     """The ``"key": value`` texts of a non-empty dict's members, sorted by key."""
     members = []
     for key in sorted(value):
         item = value[key]
         members.append(_encode_str(key) + ": " + (
-            _encode_str(item) if type(item) is str else _json_value(item, inner)))
+            _encode_str(item) if type(item) is str else _json_value(item, inner, deferred)))
     return members
 
 
-def _json_value(value, newline: str) -> str:
+def _json_value(value, newline: str, deferred: Optional[list]) -> str:
     """The indent-2 JSON text of `value`; `newline` is a newline and the
     indent of the line `value` starts on."""
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = newline + "  "
-        items = [_encode_str(item) if type(item) is str else _json_value(item, inner)
-                 for item in value]
+        items = [_encode_str(item) if type(item) is str
+                 else _json_value(item, inner, deferred) for item in value]
         return _joined("[" + inner, items, "," + inner, newline + "]")
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = newline + "  "
-        return _joined("{" + inner, _members(value, inner), "," + inner, newline + "}")
-    if type(value) is _JsonText:
-        # An encoded string holds no raw newline, so every "\n" is a line break.
-        return value.replace("\n", newline)
+        return _joined("{" + inner, _members(value, inner, deferred), "," + inner,
+                       newline + "}")
+    if type(value) is _Slots:
+        deferred.append((value.slots, newline))
+        return _MARK
     if isinstance(value, str):
         return _encode_str(value)
     if value is None:
@@ -201,6 +242,29 @@ def _json_value(value, newline: str) -> str:
             return "-Infinity"
         return float.__repr__(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit(chunks: Iterable[str], out_path: Optional[str]):
+    """Write each chunk to `out_path`, or to stdout, as `chunks` yields it.
+    A write, flush or close that fails is a usage error."""
+    if out_path:
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.writelines(chunks)
+        except OSError as exc:
+            raise UsageError(f"--out {out_path}: {exc.strerror or exc}") from None
+        return
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError as exc:
+        # The interpreter flushes stdout again as it exits, and that flush
+        # would fail too; a closed stdout is not flushed.
+        try:
+            sys.stdout.close()
+        except OSError:
+            pass
+        raise UsageError(f"stdout: {exc.strerror or exc}") from None
 
 
 def _meta(scenario: Optional[ScenarioSpec] = None, seed: Optional[int] = None,
@@ -276,6 +340,24 @@ def _warn(message: str):
 # ---------------------------------------------------------------- simulate
 
 
+def _trace_text(scenario: ScenarioSpec, run) -> Iterator[str]:
+    """The human `simulate` document: a header line, then one line per wire."""
+    yield (f"scenario {scenario.name or '(unnamed)'}  "
+           f"digest {scenario_digest(scenario)}  horizon {scenario.horizon}\n")
+    width = max(map(len, run.wire_order))
+    for wire in run.wire_order:
+        yield f"  {wire.ljust(width)}  "
+        yield from _blocks(run.slots[wire], _slot_text, " ")
+        yield "\n"
+
+
+def _trace_json(scenario: ScenarioSpec, run) -> Iterator[str]:
+    """The JSON `simulate` document."""
+    wires = _wires_json((wire, run.slots[wire]) for wire in run.wire_order)
+    return _json_chunks({"meta": _meta(scenario), "wires": wires, "verdicts": [],
+                         "coverage": None})
+
+
 def cmd_simulate(args) -> int:
     if args.scenario and args.seed is not None:
         raise UsageError("--scenario and --seed are mutually exclusive in simulate")
@@ -292,17 +374,8 @@ def cmd_simulate(args) -> int:
     for warning in warnings:
         _warn(warning)
 
-    if args.format == "json":
-        wires = _wires_json((wire, run.slots[wire]) for wire in run.wire_order)
-        doc = {"meta": _meta(scenario), "wires": wires, "verdicts": [], "coverage": None}
-        _emit(_json_text(doc), args.out)
-    else:
-        lines = [f"scenario {scenario.name or '(unnamed)'}  "
-                 f"digest {scenario_digest(scenario)}  horizon {scenario.horizon}"]
-        width = max(len(w) for w in run.wire_order)
-        for wire in run.wire_order:
-            lines.append(f"  {wire.ljust(width)}  {_wire_text(run.slots[wire])}")
-        _emit("\n".join(lines) + "\n", args.out)
+    render = _trace_json if args.format == "json" else _trace_text
+    _emit(render(scenario, run), args.out)
     return 0
 
 
@@ -445,14 +518,14 @@ def cmd_test(args) -> int:
             "verdicts": rows,
             "coverage": None,
         }
-        text = _json_text(doc)
+        chunks = _json_chunks(doc)
     else:
         style = _styler(to_file=args.out is not None)
         lines = _rows_text(rows, style)
         summary = f"{passed} passed, {failed} failed of {len(rows)} cases"
         lines.append(summary if failed else style(summary, "32"))
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+        chunks = ["\n".join(lines) + "\n"]
+    _emit(chunks, args.out)
     return 0 if failed == 0 else 1
 
 
@@ -496,7 +569,7 @@ def cmd_coverage(args) -> int:
                                               verdicts[name, "fail"])
                          for name, report in reports.items()},
         }
-        text = _json_text(doc)
+        chunks = _json_chunks(doc)
     else:
         style = _styler(to_file=args.out is not None)
         lines = []
@@ -516,8 +589,8 @@ def cmd_coverage(args) -> int:
                 lines.append(f"  unclassified steps: {report.unclassified} (test smell)")
         if failed_cases:
             lines.append(f"{failed_cases} case(s) failed")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+        chunks = ["\n".join(lines) + "\n"]
+    _emit(chunks, args.out)
     return 0 if not incomplete and failed_cases == 0 else 1
 
 
@@ -526,7 +599,7 @@ def cmd_coverage(args) -> int:
 
 def cmd_generate(args) -> int:
     scenario = _generate_checked(args.seed, _inline_bounds(args))
-    _emit(_json_text(scenario.to_dict()), args.out)
+    _emit(_json_chunks(scenario.to_dict()), args.out)
     return 0
 
 

@@ -2,8 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -17,10 +19,12 @@ from abpsim import (
     STATES_ONLY,
     MsgO,
     PathCase,
+    ScenarioSpec,
     SetTimer,
     bundled_scenario,
     format_value,
     generate_scenario,
+    run_scenario,
     scenario_digest,
 )
 from abpsim import cli
@@ -401,6 +405,40 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, target):
     assert err.startswith("error: --out ") and str(out_path) in err
 
 
+_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
+def _cli(*argv, stdout=subprocess.DEVNULL):
+    # Block-buffered, as stdout is by default: a small document's bytes only
+    # reach the device, and fail, at the final flush.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "abpsim.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60, env=env)
+
+
+@_full
+@pytest.mark.parametrize("argv", [
+    # Small enough to fail only at the final flush.
+    ("generate", "--seed", "1"),
+    ("test", "--scenario", "mismatched_bits", "--format", "json"),
+    # 20,363 slots on each wire: a write after the first fails.
+    ("simulate", "--seed", "1", "--count", "3000", "--horizon", "100000", "--format", "json"),
+    ("simulate", "--seed", "1", "--count", "3000", "--horizon", "100000"),
+], ids=lambda argv: " ".join(argv[:2]) + (" json" if "json" in argv else ""))
+def test_a_full_stdout_is_a_usage_error(argv):
+    with open("/dev/full", "w") as full:
+        result = _cli(*argv, stdout=full)
+    assert (result.returncode, result.stderr) == (2, "error: stdout: No space left on device\n")
+
+
+@_full
+def test_a_full_out_file_is_a_usage_error():
+    result = _cli("simulate", "--seed", "1", "--count", "3000", "--horizon", "100000",
+                  "--format", "json", "--out", "/dev/full")
+    assert (result.returncode, result.stderr) == (
+        2, "error: --out /dev/full: No space left on device\n")
+
+
 # ---------------------------------------------------------------- coverage
 
 
@@ -633,10 +671,18 @@ def test_json_text_is_the_stdlib_indented_sorted_encoding(doc):
     assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _document(doc) -> str:
+    return "".join(cli._json_chunks(doc))
+
+
+def _wire_text(slots) -> str:
+    return "".join(cli._blocks(slots, cli._slot_text, " "))
+
+
 def test_wires_json_tells_equal_slots_of_different_types_apart():
     slots = [(True,), (1,), (True, 1), (1, 1), (1,), (True, 1), ((True, 1),), ((1, 1),)]
-    wires = cli._wires_json([("a", slots), ("b", slots[::-1])])
-    a, b = (json.loads(wire["slots"]) for wire in wires)
+    doc = {"wires": cli._wires_json([("a", slots), ("b", slots[::-1])])}
+    a, b = (wire["slots"] for wire in json.loads(_document(doc))["wires"])
     assert a == [["true"], ["1"], ["true", "1"], ["1", "1"], ["1"],
                  ["true", "1"], ["[true,1]"], ["[1,1]"]]
     assert b == a[::-1]
@@ -644,9 +690,9 @@ def test_wires_json_tells_equal_slots_of_different_types_apart():
 
 def test_wire_text_tells_equal_slots_of_different_types_apart():
     slots = [(True,), (1,), (), (True, 1), (1, 1), (1,), (True,), ((True, 1),), ((1, 1),)]
-    assert cli._wire_text(slots) == ("true ~ 1 ~ ~ true 1 ~ 1 1 ~ 1 ~ true ~ "
-                                     "[true,1] ~ [1,1] ~")
-    assert cli._wire_text([]) == ""
+    assert _wire_text(slots) == ("true ~ 1 ~ ~ true 1 ~ 1 1 ~ 1 ~ true ~ "
+                                 "[true,1] ~ [1,1] ~")
+    assert _wire_text([]) == ""
 
 
 # A slot payload: an int, a bool, a signed message (bool, int), or a nested
@@ -658,22 +704,87 @@ _slots = st.lists(st.sampled_from([(), (True,), (1,), (False,), (0,)])
                   | st.lists(_payloads, max_size=3).map(tuple), max_size=12)
 _wires = st.lists(st.tuples(st.text(max_size=3), _slots), max_size=4)
 
+_BLOCK = cli._BLOCK
+_PATTERN = [(), (1,), (True,), (True, 1), ((True, 1),), ((1, 1),), (0,), (False,)]
+
+
+def _long_wire(length):
+    """`length` slots cycling through _PATTERN, with (True,) last in each
+    block and (1,) first in the next: slots rendered in different blocks."""
+    slots = [_PATTERN[i % len(_PATTERN)] for i in range(length)]
+    for boundary in range(_BLOCK, length, _BLOCK):
+        slots[boundary - 1:boundary + 1] = [(True,), (1,)]
+    return slots
+
+
+_LONG_WIRES = [(f"w{length}", _long_wire(length))
+               for length in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)]
+
+
+def _stdlib_lines(doc):
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").split("\n")
+
 
 @given(_wires)
 @example([("a", [(True,), (1,), (), (True,), ((True, 1),), ((1, 1),)]), ("b", [])])
+@example(_LONG_WIRES)
 def test_wires_json_is_the_stdlib_encoding_of_its_literals(wires):
-    plain = [{"name": name, "slots": [[format_value(p, strict=False) for p in slot]
-                                      for slot in slots]}
-             for name, slots in wires]
+    literals = [[[format_value(p, strict=False) for p in slot] for slot in slots]
+                for _, slots in wires]
+    plain = [{"name": name, "slots": slots} for (name, _), slots in zip(wires, literals)]
     doc = {"meta": {"tool": "abpsim"}, "wires": cli._wires_json(wires), "verdicts": [],
            "coverage": None}
     expected = {**doc, "wires": plain}
-    assert cli._json_text(doc) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    # Compared as lists of lines and words, whose first difference pytest
+    # reports at once; its diff of two long texts takes minutes.
+    assert _document(doc).split("\n") == _stdlib_lines(expected)
     # A FAIL identity row of `test` embeds its wires three levels deeper.
     row = {"kind": "identity", "status": "fail", "wires": cli._wires_json(wires)}
     doc = {"meta": {}, "wires": [], "verdicts": [{"id": 1}, row], "coverage": None}
     expected = {**doc, "verdicts": [{"id": 1}, {**row, "wires": plain}]}
-    assert cli._json_text(doc) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    assert _document(doc).split("\n") == _stdlib_lines(expected)
+    # The human trace: each slot's literals and a "~", space-separated.
+    for (_, slots), wire in zip(wires, literals):
+        assert _wire_text(slots).split(" ") == " ".join(
+            " ".join([*slot, "~"]) for slot in wire).split(" ")
+
+
+def _render_peak(render, horizon) -> int:
+    """Peak traced bytes of writing the `simulate` document of single_drop,
+    run to `horizon` slots; the run itself is made before tracing starts."""
+    scenario = ScenarioSpec.from_dict({**bundled_scenario("single_drop").to_dict(),
+                                       "horizon": horizon})
+    run, _ = run_scenario(scenario)
+    tracemalloc.start()
+    try:
+        cli._emit(render(scenario, run), os.devnull)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("render", [cli._trace_json, cli._trace_text], ids=["json", "human"])
+def test_rendering_memory_does_not_grow_with_the_horizon(render):
+    # A wire's whole text at 100,000 slots is about 1.2 MB in JSON and 0.2 MB in
+    # the human format; written block by block, no text holds it.
+    short, long = _render_peak(render, 50_000), _render_peak(render, 100_000)
+    assert long < 1.2 * short, (short, long)
+
+
+def test_rendering_memory_does_not_grow_with_distinct_slots():
+    # The texts kept for later blocks of a wire are bounded too.
+    def peak(length):
+        slots = [(n,) for n in range(length)]
+        tracemalloc.start()
+        try:
+            for _ in cli._blocks(slots, cli._slot_text, " "):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(20_000), peak(40_000)
+    assert long < 1.2 * short, (short, long)
 
 
 # ------------------------------------------------------- pinned documents
