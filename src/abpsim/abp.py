@@ -56,10 +56,11 @@ class OracleSpec(_Value):
 
     def __init__(self, kind: str, bits: Tuple[bool, ...] = (), pass_probability: float = 1.0,
                  seed: int = 0):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "pass_probability", pass_probability)
-        object.__setattr__(self, "seed", seed)
+        set_kind, set_bits, set_pass_probability, set_seed = self._setters
+        set_kind(self, kind)
+        set_bits(self, bits)
+        set_pass_probability(self, pass_probability)
+        set_seed(self, seed)
 
     @classmethod
     def explicit(cls, bits) -> "OracleSpec":
@@ -146,8 +147,9 @@ class OracleCursor(_Value):
     __slots__ = ("spec", "position")
 
     def __init__(self, spec: OracleSpec, position: int):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "position", position)
+        set_spec, set_position = self._setters
+        set_spec(self, spec)
+        set_position(self, position)
 
     def next_bit(self) -> Tuple[bool, "OracleCursor"]:
         return self.spec.bit_at(self.position), OracleCursor(self.spec, self.position + 1)

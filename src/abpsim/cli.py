@@ -7,20 +7,30 @@ instrumentation and reports catalog coverage; ``generate`` writes a
 replayable random scenario file.
 
 Exit codes: 0 success, 1 test or model failure, 2 usage or parse error (a
-report that cannot be written to ``--out`` or stdout is one).  JSON output
-is byte-deterministic for identical inputs: its bytes equal
-``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline.  `_emit`
-writes every document as it is rendered.  The JSON skeleton is joined by
-`_json_text`, with each wire's `slots` left out; each wire, in both
-formats, is rendered and written a block of `_BLOCK` slots at a time, so
-no text holds a whole wire or document.  Each distinct slot of a wire is
-rendered once, while at most `_KEPT_TEXTS` texts are kept, and each block
-is joined with no interpreted step per slot.  Human output honors NO_COLOR.
+report that cannot be written to ``--out`` or stdout is one, and so is
+running out of memory).  JSON output is byte-deterministic for identical
+inputs: its bytes equal ``json.dumps(doc, sort_keys=True, indent=2)`` plus
+a newline.  `_emit` writes every document as it is rendered.  The JSON
+skeleton is joined by `_json_text`, with each wire's `slots` left out;
+each wire, in both formats, is rendered and written a block of `_BLOCK`
+slots at a time, so no text holds a whole wire or document.  Each distinct
+slot of a wire is rendered once, while at most `_KEPT_TEXTS` texts are
+kept, and each block is joined with no interpreted step per slot.  Human
+output honors NO_COLOR.
+
+`run` pauses the cyclic garbage collector for the one command and restores
+its previous state after it.  A command keeps tens of thousands of small
+container objects alive (a big table's cases, oracle cursors, wire slots)
+and none of them is in a reference cycle, so each collection pass would
+scan them all and free nothing; the only cycles a command leaves behind
+are a few hundred objects of the argument parser, freed by the next pass
+after the command.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import random
 import sys
@@ -661,11 +671,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "generate" and args.seed is None:
-        parser.error("generate requires --seed")
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.command == "generate" and args.seed is None:
+            parser.error("generate requires --seed")
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -673,6 +685,12 @@ def run(argv=None) -> int:
     except _MODEL_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def main(argv=None):

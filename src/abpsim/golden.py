@@ -43,17 +43,19 @@ class MachineBinding(_Value):
     __slots__ = ("delta", "catalog")
 
     def __init__(self, delta: Delta, catalog: TransitionCatalog):
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "catalog", catalog)
+        set_delta, set_catalog = self._setters
+        set_delta(self, delta)
+        set_catalog(self, catalog)
 
 
 class TableCase(_Value):
     __slots__ = ("machine", "case", "note")
 
     def __init__(self, machine: str, case: TransitionCase, note: str = ""):
-        object.__setattr__(self, "machine", machine)
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "note", note)
+        set_machine, set_case, set_note = self._setters
+        set_machine(self, machine)
+        set_case(self, case)
+        set_note(self, note)
 
 
 def _sender_event(raw):
@@ -183,7 +185,7 @@ def parse_table(doc: Any, source: str = "<table>") -> List[TableCase]:
     for index, record in enumerate(records):
         if not isinstance(record, dict):
             raise ValueError(f"{source}: record {index} is not an object")
-        label = record.get("id", f"record-{index}")
+        label = record["id"] if "id" in record else f"record-{index}"
         layout = tuple(record)
         string_fields = layouts.get(layout)
         if string_fields is None:

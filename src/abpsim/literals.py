@@ -70,7 +70,8 @@ def _tagged(tag: str, args: List[Any]) -> Any:
             raise LiteralError(f"Oracle position must be a non-negative integer, got {position!r}")
         if not all(map(isinstance, args[0], repeat(bool))):
             raise LiteralError(f"Oracle bits must be booleans, got {args[0]!r}")
-        return OracleCursor(OracleSpec.explicit(args[0]), position)
+        # Checked booleans already: the spec keeps the parsed tuple itself.
+        return OracleCursor(OracleSpec("explicit", args[0]), position)
     return _WRAPPERS[tag](args[0] if len(args) == 1 else tuple(args))
 
 

@@ -58,7 +58,8 @@ class FromA(_Value):
     __slots__ = ("payload",)
 
     def __init__(self, payload: Any):
-        object.__setattr__(self, "payload", payload)
+        (set_payload,) = self._setters
+        set_payload(self, payload)
 
 
 class FromB(_Value):
@@ -67,7 +68,8 @@ class FromB(_Value):
     __slots__ = ("payload",)
 
     def __init__(self, payload: Any):
-        object.__setattr__(self, "payload", payload)
+        (set_payload,) = self._setters
+        set_payload(self, payload)
 
 
 class MsgI(_Value):
@@ -76,7 +78,8 @@ class MsgI(_Value):
     __slots__ = ("payload",)
 
     def __init__(self, payload: Any):
-        object.__setattr__(self, "payload", payload)
+        (set_payload,) = self._setters
+        set_payload(self, payload)
 
 
 class _TimeoutEvent:
@@ -101,7 +104,8 @@ class MsgO(_Value):
     __slots__ = ("payload",)
 
     def __init__(self, payload: Any):
-        object.__setattr__(self, "payload", payload)
+        (set_payload,) = self._setters
+        set_payload(self, payload)
 
 
 class SetTimer(_Value):
@@ -110,7 +114,8 @@ class SetTimer(_Value):
     __slots__ = ("slots",)
 
     def __init__(self, slots: int):
-        object.__setattr__(self, "slots", slots)
+        (set_slots,) = self._setters
+        set_slots(self, slots)
 
 
 def run_machine(start, delta: Delta, inputs: Iterable[Any]):
@@ -246,11 +251,12 @@ class _Component(_Value):
 
     def __init__(self, name: str, start: Any, delta: Delta, inputs: Tuple[str, ...],
                  outputs: Tuple[str, ...]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "outputs", outputs)
+        set_name, set_start, set_delta, set_inputs, set_outputs = self._setters
+        set_name(self, name)
+        set_start(self, start)
+        set_delta(self, delta)
+        set_inputs(self, inputs)
+        set_outputs(self, outputs)
 
 
 class NetworkSpec:
@@ -358,8 +364,9 @@ class NetworkRun(_Value):
     __slots__ = ("wire_order", "slots")
 
     def __init__(self, wire_order: Tuple[str, ...], slots: Dict[str, List[tuple]]):
-        object.__setattr__(self, "wire_order", wire_order)
-        object.__setattr__(self, "slots", slots)
+        set_wire_order, set_slots = self._setters
+        set_wire_order(self, wire_order)
+        set_slots(self, slots)
 
 
 def _item_slot_form(delta: Delta, name: str) -> Callable[[Any, Sequence[Any]], Tuple[Any, tuple]]:

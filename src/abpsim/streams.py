@@ -32,6 +32,13 @@ class _Value:
     call the class with the field values.  A value holding a dict, such as
     ``NetworkRun``, is unhashable because its field tuple is.
 
+    A constructor sets its fields through ``_setters``, the ``__set__`` of
+    each field's slot descriptor in ``__slots__`` order, bound once per
+    class: ``set_a, set_b = self._setters`` and then ``set_a(self, a)``.
+    That gets past the refusing ``__setattr__`` without looking a field up
+    by its name on every call, which made up much of the cost of building
+    the many small values a big table loads.
+
     Dataclasses are not used: importing ``dataclasses`` and compiling the
     methods it generates for each class took about a third of the import
     of the CLI, which is most of every short command."""
@@ -41,6 +48,7 @@ class _Value:
     def __init_subclass__(cls):
         get = attrgetter(*cls.__slots__)
         cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda value: (get(value),))
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def __repr__(self):
         fields = zip(self.__slots__, self._fields(self))
@@ -88,7 +96,8 @@ class Msg(_Value):
     __slots__ = ("payload",)
 
     def __init__(self, payload: Any):
-        object.__setattr__(self, "payload", payload)
+        (set_payload,) = self._setters
+        set_payload(self, payload)
 
     def __repr__(self):
         return f"Msg({self.payload!r})"

@@ -44,11 +44,13 @@ class TransitionCase(_Value):
 
     def __init__(self, id: str, start_state: Any, input: Any, expected_state: Any,
                  expected_outputs: Tuple[Any, ...]):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "start_state", start_state)
-        object.__setattr__(self, "input", input)
-        object.__setattr__(self, "expected_state", expected_state)
-        object.__setattr__(self, "expected_outputs", tuple(expected_outputs))
+        (set_id, set_start_state, set_input, set_expected_state,
+         set_expected_outputs) = self._setters
+        set_id(self, id)
+        set_start_state(self, start_state)
+        set_input(self, input)
+        set_expected_state(self, expected_state)
+        set_expected_outputs(self, tuple(expected_outputs))
 
 
 class PathCase(_Value):
@@ -73,11 +75,12 @@ class PathCase(_Value):
             )
         if mode == FULL:
             expectation = tuple((state, tuple(outputs)) for state, outputs in expectation)
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "start_state", start_state)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "expectation", expectation)
+        set_id, set_start_state, set_inputs, set_mode, set_expectation = self._setters
+        set_id(self, id)
+        set_start_state(self, start_state)
+        set_inputs(self, inputs)
+        set_mode(self, mode)
+        set_expectation(self, expectation)
 
 
 class Verdict(_Value):
@@ -85,11 +88,12 @@ class Verdict(_Value):
 
     def __init__(self, case_id: str, passed: bool, expected: Any = None, actual: Any = None,
                  error: Optional[str] = None):
-        object.__setattr__(self, "case_id", case_id)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "actual", actual)
-        object.__setattr__(self, "error", error)
+        set_case_id, set_passed, set_expected, set_actual, set_error = self._setters
+        set_case_id(self, case_id)
+        set_passed(self, passed)
+        set_expected(self, expected)
+        set_actual(self, actual)
+        set_error(self, error)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -105,13 +109,15 @@ class StepVerdict(_Value):
 
     def __init__(self, case_id: str, index: int, passed: bool, expected: Any = None,
                  actual: Any = None, after_divergence: bool = False, error: Optional[str] = None):
-        object.__setattr__(self, "case_id", case_id)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "actual", actual)
-        object.__setattr__(self, "after_divergence", after_divergence)
-        object.__setattr__(self, "error", error)
+        (set_case_id, set_index, set_passed, set_expected, set_actual, set_after_divergence,
+         set_error) = self._setters
+        set_case_id(self, case_id)
+        set_index(self, index)
+        set_passed(self, passed)
+        set_expected(self, expected)
+        set_actual(self, actual)
+        set_after_divergence(self, after_divergence)
+        set_error(self, error)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -180,11 +186,12 @@ class CatalogEntry(_Value):
 
     def __init__(self, id: str, source: str, target: str, input_pattern: Callable[[Any], bool],
                  guard: Optional[Callable[[Any, Any], bool]] = None):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "input_pattern", input_pattern)
-        object.__setattr__(self, "guard", guard)
+        set_id, set_source, set_target, set_input_pattern, set_guard = self._setters
+        set_id(self, id)
+        set_source(self, source)
+        set_target(self, target)
+        set_input_pattern(self, input_pattern)
+        set_guard(self, guard)
 
 
 class TransitionCatalog:
@@ -197,6 +204,8 @@ class TransitionCatalog:
         self.machine = machine
         self.classes: Dict[str, Callable[[Any], bool]] = dict(classes)
         self.entries: Tuple[CatalogEntry, ...] = tuple(entries)
+        # Source class -> the entries leaving it, in catalog order.
+        self._leaving: Dict[str, List[CatalogEntry]] = {}
         seen = set()
         for entry in self.entries:
             if entry.id in seen:
@@ -207,6 +216,7 @@ class TransitionCatalog:
                     raise ValueError(
                         f"catalog {machine!r}: entry {entry.id!r} references unknown class {cls!r}"
                     )
+            self._leaving.setdefault(entry.source, []).append(entry)
 
     def ids(self) -> frozenset:
         return frozenset(entry.id for entry in self.entries)
@@ -220,12 +230,12 @@ class TransitionCatalog:
         return matches[0] if matches else None
 
     def _entry_in(self, source: Optional[str], state, item) -> Optional[str]:
-        """The entry leaving class `source` that the step matches, if any."""
+        """The entry leaving class `source` that the step matches, if any.
+        Every entry leaving it is tried, so that two matches are an error."""
         matches = [
             entry.id
-            for entry in self.entries
-            if entry.source == source
-            and entry.input_pattern(item)
+            for entry in self._leaving.get(source, ())
+            if entry.input_pattern(item)
             and (entry.guard is None or entry.guard(state, item))
         ]
         if len(matches) > 1:
@@ -240,11 +250,13 @@ class CoverageReport(_Value):
 
     def __init__(self, machine: str, covered: frozenset, uncovered: frozenset,
                  class_coverage: Dict[str, int], unclassified: int):
-        object.__setattr__(self, "machine", machine)
-        object.__setattr__(self, "covered", covered)
-        object.__setattr__(self, "uncovered", uncovered)
-        object.__setattr__(self, "class_coverage", class_coverage)
-        object.__setattr__(self, "unclassified", unclassified)
+        (set_machine, set_covered, set_uncovered, set_class_coverage,
+         set_unclassified) = self._setters
+        set_machine(self, machine)
+        set_covered(self, covered)
+        set_uncovered(self, uncovered)
+        set_class_coverage(self, class_coverage)
+        set_unclassified(self, unclassified)
 
     @property
     def complete(self) -> bool:
@@ -259,8 +271,9 @@ class CoverageAccumulator(_Value):
     __slots__ = ("transitions", "classes")
 
     def __init__(self, transitions: Optional[Counter] = None, classes: Optional[Counter] = None):
-        object.__setattr__(self, "transitions", Counter() if transitions is None else transitions)
-        object.__setattr__(self, "classes", Counter() if classes is None else classes)
+        set_transitions, set_classes = self._setters
+        set_transitions(self, Counter() if transitions is None else transitions)
+        set_classes(self, Counter() if classes is None else classes)
 
     def report(self, catalog: TransitionCatalog) -> CoverageReport:
         ids = catalog.ids()
@@ -279,11 +292,13 @@ def instrument(delta: Delta, catalog: TransitionCatalog) -> Tuple[Delta, Coverag
     (or is tallied as unclassified, a test smell).  The wrapper is
     behaviorally identical to the original delta."""
     accumulator = CoverageAccumulator()
+    class_of, entry_in = catalog.class_of, catalog._entry_in
+    transitions, classes = accumulator.transitions, accumulator.classes
 
     def instrumented(state, item):
-        class_id = catalog.class_of(state)
-        accumulator.transitions[catalog._entry_in(class_id, state, item)] += 1
-        accumulator.classes[class_id] += 1
+        class_id = class_of(state)
+        transitions[entry_in(class_id, state, item)] += 1
+        classes[class_id] += 1
         return delta(state, item)
 
     return instrumented, accumulator
@@ -344,15 +359,17 @@ class ScenarioSpec(_Value):
     def __init__(self, name: str, payload_slots: Iterable[Iterable[int]], horizon: int,
                  data_oracle: OracleSpec, ack_oracle: OracleSpec, timeout: int = RESEND_TIMEOUT,
                  sender_bit: bool = True, receiver_bit: bool = True, seed: Optional[int] = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "payload_slots", tuple(tuple(slot) for slot in payload_slots))
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "data_oracle", data_oracle)
-        object.__setattr__(self, "ack_oracle", ack_oracle)
-        object.__setattr__(self, "timeout", timeout)
-        object.__setattr__(self, "sender_bit", sender_bit)
-        object.__setattr__(self, "receiver_bit", receiver_bit)
-        object.__setattr__(self, "seed", seed)
+        (set_name, set_payload_slots, set_horizon, set_data_oracle, set_ack_oracle, set_timeout,
+         set_sender_bit, set_receiver_bit, set_seed) = self._setters
+        set_name(self, name)
+        set_payload_slots(self, tuple(tuple(slot) for slot in payload_slots))
+        set_horizon(self, horizon)
+        set_data_oracle(self, data_oracle)
+        set_ack_oracle(self, ack_oracle)
+        set_timeout(self, timeout)
+        set_sender_bit(self, sender_bit)
+        set_receiver_bit(self, receiver_bit)
+        set_seed(self, seed)
         if self.horizon < 1:
             raise ValueError(f"scenario {self.name!r}: horizon must be at least 1")
         if self.horizon > _HORIZON_LIMIT:
@@ -552,13 +569,15 @@ class IdentityResult(_Value):
                  actual: Tuple[Any, ...], divergence: Optional[int] = None,
                  wires: Optional[Dict[str, Tuple[tuple, ...]]] = None,
                  warnings: Tuple[str, ...] = ()):
-        object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "actual", actual)
-        object.__setattr__(self, "divergence", divergence)
-        object.__setattr__(self, "wires", wires)
-        object.__setattr__(self, "warnings", warnings)
+        (set_scenario, set_status, set_expected, set_actual, set_divergence, set_wires,
+         set_warnings) = self._setters
+        set_scenario(self, scenario)
+        set_status(self, status)
+        set_expected(self, expected)
+        set_actual(self, actual)
+        set_divergence(self, divergence)
+        set_wires(self, wires)
+        set_warnings(self, warnings)
 
     @property
     def passed(self) -> bool:

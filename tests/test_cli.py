@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -644,6 +645,52 @@ def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as err:
         run([])
     assert err.value.code == 2
+
+
+def test_running_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
+    def no_memory(scenario):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_scenario", no_memory)
+    assert run_cmd(capsys, "simulate", "--scenario", "single_drop") == \
+        (2, "", "error: out of memory\n")
+
+
+# How a command ends -> its argv and its return code or exception.
+_COMMAND_ENDS = {
+    "exit 0": (["simulate", "--scenario", "single_drop"], 0),
+    "exit 1": (["test", "--no-bundled", "--scenario", "mismatched_bits"], 1),
+    "exit 2": (["simulate", "--scenario", "no_such_thing"], 2),
+    "usage exit": (["simulate", "--no-such-flag"], SystemExit),
+    "exception": (["simulate", "--scenario", "all_pass"], RuntimeError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "paused"])
+@pytest.mark.parametrize("end", list(_COMMAND_ENDS))
+def test_run_pauses_the_collector_for_the_command_only(end, enabled, capsys, monkeypatch):
+    argv, expected = _COMMAND_ENDS[end]
+    seen = []
+
+    def watched(scenario):
+        seen.append(gc.isenabled())
+        if scenario.name == "all_pass":
+            raise RuntimeError("unexpected")
+        return run_scenario(scenario)
+
+    monkeypatch.setattr(cli, "run_scenario", watched)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            outcome = run(argv)
+        except (SystemExit, RuntimeError) as exc:
+            outcome = type(exc)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert outcome == expected
+    assert seen == ([False] if end in ("exit 0", "exception") else [])
 
 
 def test_module_entry_point_runs():

@@ -17,9 +17,13 @@ from abpsim import (
     CatalogEntry,
     ClassificationError,
     IdentityStatus,
+    Msg,
+    OracleCursor,
     OracleSpec,
     PathCase,
     ScenarioSpec,
+    Tick,
+    TimeoutEvent,
     TransitionCase,
     TransitionCatalog,
     Verdict,
@@ -34,7 +38,14 @@ from abpsim import (
 )
 from abpsim import testkit
 from abpsim.abp import build_abp_network
-from abpsim.golden import BUNDLED_SCENARIO_NAMES, MACHINES, SENDER_CATALOG, bundled_scenario
+from abpsim.golden import (
+    BUNDLED_SCENARIO_NAMES,
+    MACHINES,
+    MEDIUM_CATALOG,
+    RECEIVER_CATALOG,
+    SENDER_CATALOG,
+    bundled_scenario,
+)
 
 
 def stepper(state, item):
@@ -178,6 +189,77 @@ def test_overlapping_classes_are_a_classification_error(step_entry):
         sloppy.class_of(2)
     with pytest.raises(ClassificationError):
         step_entry(sloppy, stepper, 2, "x")
+
+
+def _scanned_entry(catalog, source, state, item):
+    """The reference for `_entry_in`: every entry of the catalog is scanned
+    in order, whatever its source class."""
+    matches = [entry.id for entry in catalog.entries
+               if entry.source == source and entry.input_pattern(item)
+               and (entry.guard is None or entry.guard(state, item))]
+    if len(matches) > 1:
+        raise ClassificationError(
+            f"catalog {catalog.machine!r}: step ({state!r}, {item!r}) matches {matches}")
+    return matches[0] if matches else None
+
+
+def _outcome(find, *args):
+    try:
+        return "entry", find(*args)
+    except Exception as exc:  # any error must be the reference's own
+        return type(exc).__name__, str(exc)
+
+
+def overlapping_catalog():
+    return TransitionCatalog(
+        "overlapping",
+        classes={"even": lambda s: s % 2 == 0, "odd": lambda s: s % 2 == 1},
+        entries=[
+            CatalogEntry("e_up", "even", "odd", lambda i: i > 0),
+            CatalogEntry("e_even", "even", "even", lambda i: i % 2 == 0),
+            CatalogEntry("o_any", "odd", "even", lambda i: True, guard=lambda s, i: s > i),
+            CatalogEntry("o_small", "odd", "odd", lambda i: i < 3),
+            CatalogEntry("e_big", "even", "even", lambda i: i > 5, guard=lambda s, i: s < i),
+        ],
+    )
+
+
+_ints = st.integers(-3, 9)
+_cursors = st.builds(lambda bits, position: OracleCursor(OracleSpec.explicit(bits), position),
+                     st.lists(st.booleans(), max_size=3), st.integers(0, 3))
+# States and inputs of every bundled machine, and values of the others' kinds.
+_steps_values = st.one_of(
+    st.booleans(), _ints, st.sampled_from([Tick, TimeoutEvent]), _cursors,
+    st.builds(Msg, _ints), st.tuples(st.booleans(), _ints),
+    st.tuples(st.booleans(), st.lists(_ints, max_size=3).map(tuple)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_indexed_entry_lookup_agrees_with_a_scan_of_every_entry(data):
+    catalog = data.draw(st.sampled_from(
+        [SENDER_CATALOG, MEDIUM_CATALOG, RECEIVER_CATALOG, overlapping_catalog()]))
+    values = _ints if catalog.machine == "overlapping" else _steps_values
+    state, item = data.draw(values), data.draw(values)
+    sources = [*catalog.classes, None, "no_such_class"]
+    try:
+        sources.append(catalog.class_of(state))
+    except ClassificationError:
+        pass
+    for source in sources:
+        assert _outcome(catalog._entry_in, source, state, item) == \
+            _outcome(_scanned_entry, catalog, source, state, item)
+
+
+def test_overlapping_entries_of_one_class_are_a_classification_error():
+    catalog = overlapping_catalog()
+    assert catalog._entry_in("even", 2, 1) == "e_up"
+    assert catalog._entry_in("odd", 1, 4) is None
+    with pytest.raises(ClassificationError, match=r"matches \['e_up', 'e_even', 'e_big'\]"):
+        catalog._entry_in("even", 4, 8)
+    with pytest.raises(ClassificationError, match=r"matches \['o_any', 'o_small'\]"):
+        catalog._entry_in("odd", 7, 2)
 
 
 def test_sender_catalog_is_deterministic_on_its_golden_steps(step_entry):

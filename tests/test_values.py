@@ -1,7 +1,9 @@
 """The contract of abpsim's value classes: the field-wise repr, equality,
-hash and immutability that every trace, report and test relies on."""
+hash and immutability that every trace, report and test relies on, and the
+slot setters their constructors assign through."""
 
 import copy
+import operator
 import pickle
 from collections import Counter
 
@@ -30,7 +32,9 @@ from abpsim import (
     Verdict,
     bundled_scenario,
 )
-from abpsim.golden import TableCase
+from abpsim.golden import SENDER_CATALOG, MachineBinding, TableCase
+from abpsim.runtime import _Component
+from abpsim.streams import _Value
 
 CURSOR = OracleCursor(OracleSpec.cyclic([1]), 2)
 SCENARIO = ScenarioSpec("s", [[1, 2]], 5, OracleSpec.explicit([True]),
@@ -197,3 +201,82 @@ def test_scenario_bounds_are_checked_on_construction(changes, message):
 def test_values_survive_copy_and_pickle(value):
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+
+
+def _value_classes(base=_Value):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _value_classes(cls)
+
+
+# One value of every value class in the package, its fields all distinct, so
+# that a constructor which sets one field from another's argument shows.
+EXAMPLES = {type(value): value for value, _ in REPRS}
+EXAMPLES.update({type(value): value for value in [
+    OracleSpec("bernoulli", (True,), 0.5, 7),
+    Verdict("c", False, 1, 2, "E"),
+    StepVerdict("c", 1, False, 2, 3, True, "E"),
+    CatalogEntry("e", "a", "b", callable, len),
+    ScenarioSpec("s", [[1, 2]], 5, OracleSpec.explicit([True]), OracleSpec.bernoulli(0.5, 7),
+                 timeout=4, sender_bit=False, receiver_bit=True, seed=3),
+    IdentityResult(SCENARIO, IdentityStatus.FAIL, (1,), (2,), 0, {"a": ()}, ("w",)),
+    CoverageAccumulator(Counter("t"), Counter("c")),
+    MachineBinding(len, SENDER_CATALOG),
+    _Component("c", 0, len, ("a",), ("b",)),
+]})
+
+
+def test_every_value_class_has_an_example():
+    classes = {cls for cls in _value_classes() if cls.__module__.startswith("abpsim.")}
+    assert classes == set(EXAMPLES)
+
+
+@pytest.mark.parametrize("cls", list(EXAMPLES), ids=lambda cls: cls.__name__)
+def test_value_classes_bind_one_setter_per_field_in_slot_order(cls):
+    assert len(cls._setters) == len(cls.__slots__)
+    bare = cls.__new__(cls)
+    marks = [object() for _ in cls.__slots__]
+    for setter, mark in zip(cls._setters, marks):
+        setter(bare, mark)
+    assert [getattr(bare, name) for name in cls.__slots__] == marks
+
+
+@pytest.mark.parametrize("value", list(EXAMPLES.values()), ids=lambda v: type(v).__name__)
+def test_constructors_set_each_field_from_its_own_argument(value):
+    fields = dict(zip(value.__slots__, value._fields(value)))
+    rebuilt = type(value)(**fields)
+    assert {name: getattr(rebuilt, name) for name in value.__slots__} == fields
+
+
+@pytest.mark.parametrize("value", list(EXAMPLES.values()), ids=lambda v: type(v).__name__)
+def test_every_value_refuses_assignment_and_deletion(value):
+    before = value._fields(value)
+    for name in value.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert all(map(operator.is_, value._fields(value), before))
+
+
+class _Counted:
+    """A leaf that counts the comparisons made with it."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __eq__(self, other):
+        self.calls.append(other)
+        return True
+
+
+def test_equality_compares_each_field_once_at_any_depth():
+    # Compared field by field, nested one-field values cost one leaf
+    # comparison; a field tuple naming a field twice would cost 2**depth
+    # (4,096 here, and too many to finish at the parser's 100 levels).
+    calls = []
+    left, right = _Counted(calls), _Counted([])
+    for wrap in [FromA, MsgI, Msg, SetTimer, MsgO, FromB] * 2:
+        left, right = wrap(left), wrap(right)
+    assert left == right
+    assert len(calls) == 1
