@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import os
 import random
 import sys
@@ -187,8 +188,8 @@ def _json_text(doc: dict, deferred: Optional[list] = None) -> str:
     and float; each `_Slots` becomes a `_MARK`, its slots and the newline
     of its line appended to `deferred`.  The stdlib encodes indented JSON
     in pure Python; this writer makes one call per container and none per
-    string, and joins each container, the document's final newline
-    included, in one `join`."""
+    string or int, hands every other leaf to `json.dumps`, and joins each
+    container, the document's final newline included, in one `join`."""
     if not doc:
         return "{}\n"
     return _joined("{\n  ", _members(doc, "\n  ", deferred), ",\n  ", "\n}\n")
@@ -232,32 +233,15 @@ def _json_value(value, newline: str, deferred: Optional[list]) -> str:
     if type(value) is _Slots:
         deferred.append((value.slots, newline))
         return _MARK
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
+    if type(value) is int:
         return int.__repr__(value)
-    if isinstance(value, float):
-        # The forms `json` gives floats, NaN and the infinities included.
-        if value != value:
-            return "NaN"
-        if value == float("inf"):
-            return "Infinity"
-        if value == -float("inf"):
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return json.dumps(value)
 
 
 def _emit(chunks: Iterable[str], out_path: Optional[str]):
     """Write each chunk to `out_path`, or to stdout, as `chunks` yields it.
     A write, flush or close that fails is a usage error."""
-    if out_path:
+    if out_path is not None:
         try:
             with open(out_path, "w", encoding="utf-8") as handle:
                 handle.writelines(chunks)
@@ -616,7 +600,8 @@ def cmd_generate(args) -> int:
 # -------------------------------------------------------------------- main
 
 
-def _add_common(parser, *, scenario=False, tables=False, inline=False, coverage=False):
+def _add_common(parser, *, scenario=False, tables=False, inline=False, coverage=False,
+                formats=("human", "json")):
     if scenario:
         parser.add_argument("--scenario", metavar="PATH|NAME",
                             help="scenario file, or a bundled name: "
@@ -640,7 +625,7 @@ def _add_common(parser, *, scenario=False, tables=False, inline=False, coverage=
                             action="extend", default=[],
                             help="machines whose catalogs must be fully covered "
                                  "(default: all bundled machines)")
-    parser.add_argument("--format", choices=("human", "json"), default="human")
+    parser.add_argument("--format", choices=formats, default=formats[0])
     parser.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
 
 
@@ -665,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     coverage.set_defaults(handler=cmd_coverage)
 
     generate = commands.add_parser("generate", help="write a replayable random scenario")
-    _add_common(generate, inline=True)
+    _add_common(generate, inline=True, formats=("json",))
     generate.set_defaults(handler=cmd_generate)
     return parser
 

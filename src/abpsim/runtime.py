@@ -16,7 +16,9 @@ step, a closure bound to its wires.  The paper's Msg/Tick item form, the
 delta the wrapper returns, is derived from that rule: a message is a slot
 of one payload with no tick, and a tick is an empty slot.  Any other
 tick-aware delta reaches ``run_network`` through one generic adapter,
-which feeds it the slot's messages and then one tick.
+which feeds it the slot's messages and then one tick.  ``FromA``, ``FromB``,
+``MsgI`` and ``MsgO`` take ``streams._set_payload`` as their constructor,
+and ``TimeoutEvent`` is a ``streams._Signal``.
 
 Timer semantics (fixed here, relied on everywhere else): ``SetTimer n``
 arms a countdown of n ticks; each subsequent tick decrements; the timeout
@@ -30,7 +32,7 @@ from __future__ import annotations
 from itertools import compress, count, islice, repeat
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
-from .streams import Msg, Tick, TimedStream, _Value
+from .streams import Msg, Tick, TimedStream, _Signal, _Value, _set_payload
 
 # A transition function: (state, input) -> (new state, output sequence).
 Delta = Callable[[Any, Any], Tuple[Any, Sequence[Any]]]
@@ -56,43 +58,26 @@ class FromA(_Value):
     """Message tagged as coming from the first of two merged channels."""
 
     __slots__ = ("payload",)
-
-    def __init__(self, payload: Any):
-        (set_payload,) = self._setters
-        set_payload(self, payload)
+    __init__ = _set_payload
 
 
 class FromB(_Value):
     """Message tagged as coming from the second of two merged channels."""
 
     __slots__ = ("payload",)
-
-    def __init__(self, payload: Any):
-        (set_payload,) = self._setters
-        set_payload(self, payload)
+    __init__ = _set_payload
 
 
 class MsgI(_Value):
     """Ordinary input to a timer-owning machine."""
 
     __slots__ = ("payload",)
-
-    def __init__(self, payload: Any):
-        (set_payload,) = self._setters
-        set_payload(self, payload)
+    __init__ = _set_payload
 
 
-class _TimeoutEvent:
+class _TimeoutEvent(_Signal):
     __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "TimeoutEvent"
+    _name = "TimeoutEvent"
 
 
 TimeoutEvent = _TimeoutEvent()
@@ -102,10 +87,7 @@ class MsgO(_Value):
     """Ordinary output of a timer-owning machine."""
 
     __slots__ = ("payload",)
-
-    def __init__(self, payload: Any):
-        (set_payload,) = self._setters
-        set_payload(self, payload)
+    __init__ = _set_payload
 
 
 class SetTimer(_Value):

@@ -14,6 +14,10 @@ simply stops, and nothing else records its length.
 Two observations of the same stream see the same slots, i.e. ``take_slots``
 is pure.  A raw iterator obtained from a stream is single-consumer; share
 the stream, not the iterator.
+
+`_Value` is the base of the value classes, `_set_payload` the constructor
+of each whose one field is ``payload``, and `_Signal` the base of ``Tick``
+and ``runtime.TimeoutEvent``.
 """
 
 from __future__ import annotations
@@ -72,8 +76,14 @@ class _Value:
         return type(self), self._fields(self)
 
 
-class _Tick:
-    """The clock-advance pseudo-message. A single shared instance, ``Tick``."""
+def _set_payload(self, payload: Any):
+    """The constructor of every value class whose one field is ``payload``."""
+    self._setters[0](self, payload)
+
+
+class _Signal:
+    """Base of a class of one instance, named `_name` in its module and in
+    its repr; calls, copies and pickles (by that name) give it back."""
 
     __slots__ = ()
     _instance = None
@@ -84,7 +94,17 @@ class _Tick:
         return cls._instance
 
     def __repr__(self):
-        return "Tick"
+        return self._name
+
+    def __reduce__(self):
+        return self._name
+
+
+class _Tick(_Signal):
+    """The clock-advance pseudo-message. A single shared instance, ``Tick``."""
+
+    __slots__ = ()
+    _name = "Tick"
 
 
 Tick = _Tick()
@@ -94,10 +114,7 @@ class Msg(_Value):
     """A payload-carrying item of a timed stream."""
 
     __slots__ = ("payload",)
-
-    def __init__(self, payload: Any):
-        (set_payload,) = self._setters
-        set_payload(self, payload)
+    __init__ = _set_payload
 
     def __repr__(self):
         return f"Msg({self.payload!r})"

@@ -5,7 +5,8 @@ Four layers, each usable alone:
 * transition and path testers comparing a delta's actual behavior against
   expected states and output sequences (structural, order-sensitive);
 * coverage instrumentation against a declared catalog of abstract
-  transitions over state equivalence classes;
+  transitions over state equivalence classes, a step's entry found by a
+  scan of the catalog (`TransitionCatalog._entry_in`);
 * boundary-interior path enumeration over the catalog's class graph, as a
   test design aid;
 * scenario generation and the end-to-end identity check for the composed
@@ -204,8 +205,6 @@ class TransitionCatalog:
         self.machine = machine
         self.classes: Dict[str, Callable[[Any], bool]] = dict(classes)
         self.entries: Tuple[CatalogEntry, ...] = tuple(entries)
-        # Source class -> the entries leaving it, in catalog order.
-        self._leaving: Dict[str, List[CatalogEntry]] = {}
         seen = set()
         for entry in self.entries:
             if entry.id in seen:
@@ -216,7 +215,6 @@ class TransitionCatalog:
                     raise ValueError(
                         f"catalog {machine!r}: entry {entry.id!r} references unknown class {cls!r}"
                     )
-            self._leaving.setdefault(entry.source, []).append(entry)
 
     def ids(self) -> frozenset:
         return frozenset(entry.id for entry in self.entries)
@@ -234,8 +232,9 @@ class TransitionCatalog:
         Every entry leaving it is tried, so that two matches are an error."""
         matches = [
             entry.id
-            for entry in self._leaving.get(source, ())
-            if entry.input_pattern(item)
+            for entry in self.entries
+            if entry.source == source
+            and entry.input_pattern(item)
             and (entry.guard is None or entry.guard(state, item))
         ]
         if len(matches) > 1:

@@ -1,4 +1,5 @@
 import contextlib
+import enum
 import gc
 import hashlib
 import io
@@ -397,13 +398,15 @@ def test_test_writes_reports_to_a_file(tmp_path, capsys):
     ("test",),
     ("coverage",),
 ], ids=lambda argv: argv[0])
-@pytest.mark.parametrize("target", ["missing/x.txt", "."], ids=["missing-dir", "directory"])
+@pytest.mark.parametrize("target", ["missing/x.txt", ".", None],
+                         ids=["missing-dir", "directory", "empty"])
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, target):
-    # A path under a missing directory, and a directory itself.
-    out_path = tmp_path / target
-    code, stdout, err = run_cmd(capsys, *argv, "--out", str(out_path))
+    # A path under a missing directory, a directory itself, and an empty
+    # path, which names no file and is not stdout either.
+    out_path = "" if target is None else str(tmp_path / target)
+    code, stdout, err = run_cmd(capsys, *argv, "--out", out_path)
     assert code == 2 and stdout == ""
-    assert err.startswith("error: --out ") and str(out_path) in err
+    assert err.startswith("error: --out ") and out_path in err
 
 
 _full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -562,6 +565,14 @@ def test_generate_requires_a_seed(capsys):
     assert err.value.code == 2
 
 
+def test_generate_writes_json_only(capsys):
+    with pytest.raises(SystemExit) as err:
+        run(["generate", "--seed", "1", "--format", "human"])
+    assert err.value.code == 2 and capsys.readouterr().out == ""
+    assert run_cmd(capsys, "generate", "--seed", "1", "--format", "json") == \
+        run_cmd(capsys, "generate", "--seed", "1")
+
+
 def test_generate_rejects_certain_loss(capsys):
     code, _, err = run_cmd(capsys, "generate", "--seed", "1", "--drop", "1.0")
     assert code == 2
@@ -711,11 +722,31 @@ json_documents = st.dictionaries(st.text(), st.recursive(
     max_leaves=20))
 
 
+class _Level(enum.IntEnum):
+    HIGH = 7
+
+
+class _Text(str):
+    pass
+
+
 @given(json_documents)
 @example({"floats": [float("nan"), float("inf"), -float("inf"), -0.0, 1e16, 0.1],
           "text": "\u00e9\u2028\x00\ud83d\ude00\"", "empty": [{}, [], ""], "": None})
+@example({"int subclass": _Level.HIGH, "str subclass": [_Text("\u00e9\"")]})
+@example({"negative zero": -0.0, "largest": [1e308, -1e308], "big int": [2**64 + 1, -2**70]})
 def test_json_text_is_the_stdlib_indented_sorted_encoding(doc):
     assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("leaf", [object(), {1, 2}], ids=["object", "set"])
+def test_a_leaf_json_cannot_hold_raises_the_stdlibs_type_error(leaf):
+    doc = {"rows": [{"value": leaf}]}
+    with pytest.raises(TypeError) as expected:
+        json.dumps(doc, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as raised:
+        cli._json_text(doc)
+    assert str(raised.value) == str(expected.value)
 
 
 def _document(doc) -> str:

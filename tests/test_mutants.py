@@ -1,0 +1,169 @@
+"""The mutant catalogue: small deliberate faults in the ABP model and its
+timer, each applied by monkeypatching alone, run through the kit's own
+checks in process.  The kill table pins, for every mutant and check, the
+exit code and the ids of the failing report rows.  A mutant that passes
+every check survives: that is a gap in the kit, recorded here so that a
+later check which kills it changes the table, and so that no change to
+the kit lets a killed mutant survive unnoticed."""
+
+import contextlib
+import io
+import json
+
+import pytest
+
+from abpsim import abp, cli, generate_scenario, golden, run_scenario
+from abpsim.runtime import DISABLED, FromB, MsgI, SetTimer, TimeoutEvent, _timed
+
+
+def _timer(late=False, sticky=False):
+    """`runtime.attach_timer`, restated with at most one fault: a `late`
+    timer counts down to 0 and fires there, one tick late; a `sticky` one
+    ignores a SetTimer while it is armed.  With neither it is the real
+    timer, which `test_the_restated_timer_is_the_real_one` checks."""
+    fire_at = 0 if late else 1
+
+    def attach_timer(delta):
+        def absorb(outputs, counter, emitted):
+            for out in outputs:
+                if isinstance(out, SetTimer):
+                    if not (sticky and counter != DISABLED):
+                        counter = out.slots
+                else:
+                    emitted.append(out.payload)
+            return counter
+
+        def rule(state_counter, payloads, tick=True):
+            state, counter = state_counter
+            emitted = []
+            for payload in payloads:
+                state, outputs = delta(state, MsgI(payload))
+                counter = absorb(outputs, counter, emitted)
+            if tick:
+                if counter > fire_at:
+                    counter -= 1
+                elif counter == fire_at:
+                    state, outputs = delta(state, TimeoutEvent)
+                    counter = absorb(outputs, DISABLED, emitted)
+            return (state, counter), tuple(emitted)
+
+        return _timed(rule)
+
+    return attach_timer
+
+
+_make_sender_delta = abp.make_sender_delta
+
+
+def _stale_ack_sender(timeout=abp.RESEND_TIMEOUT):
+    """The sender with ``if not buffer:`` in place of ``if not buffer or
+    ack != bit:``: with a message in flight, any ack is taken for its own."""
+    sender = _make_sender_delta(timeout)
+
+    def sender_delta(state, event):
+        bit, buffer = state
+        if buffer and isinstance(event, MsgI) and isinstance(event.payload, FromB):
+            event = MsgI(FromB(bit))
+        return sender(state, event)
+
+    return sender_delta
+
+
+def _always_accepting_receiver(expected, message):
+    """A receiver that delivers every message and flips its bit."""
+    bit, payload = message
+    return (not expected), (bit,), (payload,)
+
+
+# Mutant -> the (module, name, replacement) patches that apply it.
+MUTANTS = {
+    "none": [],
+    "late timer": [(abp, "attach_timer", _timer(late=True))],
+    "SetTimer ignored while armed": [(abp, "attach_timer", _timer(sticky=True))],
+    "stale ack": [(abp, "make_sender_delta", _stale_ack_sender),
+                  (golden, "sender_delta", _stale_ack_sender())],
+    "always-accepting receiver": [(abp, "receiver_delta", _always_accepting_receiver)],
+}
+
+CHECKS = {
+    "test": ["test"],
+    "test --count 100": ["test", "--count", "100", "--seed", "0"],
+    "coverage": ["coverage"],
+}
+
+_PASSED = (0, [])
+_ACCEPTING_ROWS = ["transition receiver/r2", "transition receiver/r4"]
+# The 52 of `test --count 100 --seed 0`'s random scenarios whose identity
+# check the always-accepting receiver fails, in report order.
+_ACCEPTING_SEEDS = [
+    4161721069, 3155761739, 1776880500, 2184463183, 2830392143, 1240758652, 1611253881,
+    371418105, 3041628535, 75686576, 3464020530, 3459228293, 752720107, 2336513962,
+    2989083549, 2625263320, 2018358017, 3496152656, 3564071675, 2468976585, 3129565821,
+    2104750066, 2427917451, 2517013289, 3941867880, 1123107841, 3722841553, 3965465667,
+    2316970442, 3103209418, 31841879, 3771502798, 4045925893, 1013271168, 1427111678,
+    2801201673, 3968920972, 2416600424, 4244845251, 697652374, 1255092780, 1975471309,
+    226069907, 341363814, 1537917898, 3283731809, 3119071644, 470307423, 2471832771,
+    3597897800, 3936366462, 463900173,
+]
+
+# Mutant -> check -> (exit code, failing row ids as `test` prints them).
+# Both timer mutants survive: every check compares untimed histories and
+# the sender's table steps the delta without its timer.
+KILLS = {
+    "none": dict.fromkeys(CHECKS, _PASSED),
+    "late timer": dict.fromkeys(CHECKS, _PASSED),
+    "SetTimer ignored while armed": dict.fromkeys(CHECKS, _PASSED),
+    "stale ack": dict.fromkeys(CHECKS, (1, ["transition sender/s6"])),
+    "always-accepting receiver": {
+        "test": (1, _ACCEPTING_ROWS),
+        "test --count 100": (1, _ACCEPTING_ROWS
+                             + [f"identity abp/seed-{seed}" for seed in _ACCEPTING_SEEDS]),
+        "coverage": (1, _ACCEPTING_ROWS),
+    },
+}
+
+
+# Ten payloads over a lossy run of 619 slots, in which both timer mutants
+# change when the sender resends.
+SCENARIO = generate_scenario(3, (10, 10_000, 0.3))
+
+
+def _apply(monkeypatch, mutant):
+    for module, name, replacement in MUTANTS[mutant]:
+        monkeypatch.setattr(module, name, replacement)
+
+
+def _check(argv):
+    """The exit code of `argv` and its failing rows, read from its JSON report."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        code = cli.run([*argv, "--format", "json"])
+    rows = json.loads(sink.getvalue())["verdicts"]
+    return code, [f"{row['kind']} {row['machine']}/{row['id']}"
+                  for row in rows if row["status"] != "pass"]
+
+
+@pytest.mark.parametrize("check", list(CHECKS))
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_kill_table(mutant, check, monkeypatch):
+    _apply(monkeypatch, mutant)
+    assert _check(CHECKS[check]) == KILLS[mutant][check]
+
+
+def test_the_restated_timer_is_the_real_one(monkeypatch):
+    real = run_scenario(SCENARIO)
+    monkeypatch.setattr(abp, "attach_timer", _timer())
+    assert run_scenario(SCENARIO) == real
+
+
+@pytest.mark.parametrize("mutant", ["late timer", "SetTimer ignored while armed"])
+def test_surviving_timer_mutants_change_the_timed_run(mutant, monkeypatch):
+    # Not equivalent mutants: each changes when the sender resends, and
+    # only the untimed delivery that every check compares stays the same.
+    real, _ = run_scenario(SCENARIO)
+    _apply(monkeypatch, mutant)
+    run, _ = run_scenario(SCENARIO)
+    assert run.slots["ds"] != real.slots["ds"]
+    assert run.slots["out"] != real.slots["out"]
+    assert [p for slot in run.slots["out"] for p in slot] == \
+        [p for slot in real.slots["out"] for p in slot]

@@ -28,6 +28,8 @@ from abpsim import (
     ScenarioSpec,
     SetTimer,
     StepVerdict,
+    Tick,
+    TimeoutEvent,
     TransitionCase,
     Verdict,
     bundled_scenario,
@@ -201,6 +203,15 @@ def test_scenario_bounds_are_checked_on_construction(changes, message):
 def test_values_survive_copy_and_pickle(value):
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+
+
+@pytest.mark.parametrize("signal", [Tick, TimeoutEvent], ids=repr)
+def test_signals_stay_single_instances_through_calls_copies_and_pickles(signal):
+    twins = {"call": type(signal)(), "copy": copy.copy(signal),
+             "deepcopy": copy.deepcopy(signal)}
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        twins[f"pickle protocol {protocol}"] = pickle.loads(pickle.dumps(signal, protocol))
+    assert [how for how, twin in twins.items() if twin is not signal] == []
 
 
 def _value_classes(base=_Value):
