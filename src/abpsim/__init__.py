@@ -57,11 +57,9 @@ from .testkit import (
     IdentityStatus,
     PathCase,
     ScenarioSpec,
-    StepVerdict,
     TransitionCase,
     TransitionCatalog,
     Verdict,
-    boundary_interior_paths,
     check_identity,
     generate_scenario,
     instrument,

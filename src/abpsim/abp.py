@@ -16,7 +16,7 @@ state is its oracle cursor.  Signed messages are ``(bit, payload)`` pairs.
 from __future__ import annotations
 
 import random
-from typing import Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
 from .runtime import (
     FromA,
@@ -100,11 +100,12 @@ class OracleSpec(_Value):
         return {"kind": "bernoulli", "pass_probability": self.pass_probability, "seed": self.seed}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "OracleSpec":
-        try:
-            kind = data["kind"]
-        except (TypeError, KeyError):
-            raise ValueError("oracle: missing field 'kind'") from None
+    def from_dict(cls, data: Mapping[str, Any]) -> "OracleSpec":
+        if not isinstance(data, Mapping):
+            raise ValueError("oracle: must be a JSON object")
+        if "kind" not in data:
+            raise ValueError("oracle: missing field 'kind'")
+        kind = data["kind"]
         if kind in ("explicit", "cyclic"):
             bits = data.get("bits", [])
             if not isinstance(bits, list) or not all(isinstance(b, bool) for b in bits):

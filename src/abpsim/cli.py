@@ -58,7 +58,6 @@ from .testkit import (
     FULL,
     IdentityStatus,
     ScenarioSpec,
-    StepVerdict,
     Verdict,
     check_identity,
     generate_scenario,
@@ -376,10 +375,10 @@ def cmd_simulate(args) -> int:
 # -------------------------------------------------------------------- test
 
 
-def _verdict_row(kind: str, machine: str, verdict: Verdict | StepVerdict, pairs: bool,
+def _verdict_row(kind: str, machine: str, verdict: Verdict, pairs: bool,
                  note: str = "") -> dict:
-    """One report row for a Verdict or a path case's first failing
-    StepVerdict; `pairs` says whether its expected and actual values are
+    """One report row for a case's Verdict, or for a path case's first
+    failing step's; `pairs` says whether its expected and actual values are
     (state, outputs) pairs rather than a single state or output tuple."""
     row: Dict[str, Any] = {
         "kind": kind,
@@ -390,7 +389,7 @@ def _verdict_row(kind: str, machine: str, verdict: Verdict | StepVerdict, pairs:
     if not verdict.passed:
         expected = _describe(verdict.expected, pairs)
         actual = _describe(verdict.actual, pairs)
-        if isinstance(verdict, StepVerdict):
+        if verdict.index is not None:
             row["detail"] = (f"step {verdict.index}: expected {expected}; actual {actual}"
                              + (f"; {verdict.error}" if verdict.error else ""))
         else:
@@ -418,9 +417,8 @@ def _suite_rows(table_cases, path_cases, deltas) -> List[dict]:
                          table_case.note)
             for table_case in table_cases]
     for machine, case in path_cases:
-        verdict = path_test(deltas[machine], case)
-        if not isinstance(verdict, Verdict):
-            verdict = next((step for step in verdict if not step.passed), Verdict(case.id, True))
+        verdicts = path_test(deltas[machine], case)
+        verdict = next((step for step in verdicts if not step.passed), Verdict(case.id, True))
         rows.append(_verdict_row("path", machine, verdict, case.mode == FULL))
     return rows
 
@@ -582,6 +580,7 @@ def cmd_coverage(args) -> int:
             if report.unclassified:
                 lines.append(f"  unclassified steps: {report.unclassified} (test smell)")
         if failed_cases:
+            lines.extend(_rows_text((row for row in rows if row["status"] != "pass"), style))
             lines.append(f"{failed_cases} case(s) failed")
         chunks = ["\n".join(lines) + "\n"]
     _emit(chunks, args.out)

@@ -1,14 +1,12 @@
 """Model-based testing toolkit for transition-function machines.
 
-Four layers, each usable alone:
+Three layers, each usable alone:
 
 * transition and path testers comparing a delta's actual behavior against
   expected states and output sequences (structural, order-sensitive);
 * coverage instrumentation against a declared catalog of abstract
   transitions over state equivalence classes, a step's entry found by a
   scan of the catalog (`TransitionCatalog._entry_in`);
-* boundary-interior path enumeration over the catalog's class graph, as a
-  test design aid;
 * scenario generation and the end-to-end identity check for the composed
   protocol (the system-level contract: delivered payloads equal sent
   payloads once timing is abstracted away).
@@ -85,40 +83,27 @@ class PathCase(_Value):
 
 
 class Verdict(_Value):
-    __slots__ = ("case_id", "passed", "expected", "actual", "error")
+    """Outcome of one case, or of one step of a path case.  A step verdict
+    carries its index; steps after the first failing one are still
+    evaluated (from the actual trajectory, not the expected one) and carry
+    after_divergence=True so reports can de-emphasize them.  A transition
+    case or an OUTPUTS_ONLY path case has index None."""
+
+    __slots__ = ("case_id", "passed", "expected", "actual", "error", "index",
+                 "after_divergence")
 
     def __init__(self, case_id: str, passed: bool, expected: Any = None, actual: Any = None,
-                 error: Optional[str] = None):
-        set_case_id, set_passed, set_expected, set_actual, set_error = self._setters
+                 error: Optional[str] = None, index: Optional[int] = None,
+                 after_divergence: bool = False):
+        (set_case_id, set_passed, set_expected, set_actual, set_error, set_index,
+         set_after_divergence) = self._setters
         set_case_id(self, case_id)
         set_passed(self, passed)
         set_expected(self, expected)
         set_actual(self, actual)
         set_error(self, error)
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-class StepVerdict(_Value):
-    """Verdict for one step of a path case.  Steps after the first failing
-    one are still evaluated (from the actual trajectory, not the expected
-    one) and carry after_divergence=True so reports can de-emphasize them.
-    """
-
-    __slots__ = ("case_id", "index", "passed", "expected", "actual", "after_divergence", "error")
-
-    def __init__(self, case_id: str, index: int, passed: bool, expected: Any = None,
-                 actual: Any = None, after_divergence: bool = False, error: Optional[str] = None):
-        (set_case_id, set_index, set_passed, set_expected, set_actual, set_after_divergence,
-         set_error) = self._setters
-        set_case_id(self, case_id)
         set_index(self, index)
-        set_passed(self, passed)
-        set_expected(self, expected)
-        set_actual(self, actual)
         set_after_divergence(self, after_divergence)
-        set_error(self, error)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -136,11 +121,11 @@ def trans_test(delta: Delta, case: TransitionCase) -> Verdict:
     return Verdict(case.id, actual == expected, expected=expected, actual=actual)
 
 
-def path_test(delta: Delta, case: PathCase):
+def path_test(delta: Delta, case: PathCase) -> Tuple[Verdict, ...]:
     """Run an input sequence and compare the trajectory step by step.
 
-    Returns a tuple of StepVerdict for FULL / STATES_ONLY (one per executed
-    step) or a single Verdict for OUTPUTS_ONLY.  If the delta raises, the
+    Returns a tuple of Verdict: one per executed step for FULL / STATES_ONLY,
+    one for the whole path for OUTPUTS_ONLY.  If the delta raises, the
     failing step's verdict carries the cause and the remaining steps are not
     executed (the trajectory is gone).
     """
@@ -156,20 +141,19 @@ def path_test(delta: Delta, case: PathCase):
             break
     if case.mode == OUTPUTS_ONLY:
         actual = tuple(p for _, outputs in steps for p in outputs)
-        return Verdict(case.id, error is None and actual == case.expectation,
-                       expected=case.expectation, actual=actual, error=error)
-    verdicts: List[StepVerdict] = []
+        return (Verdict(case.id, error is None and actual == case.expectation,
+                        expected=case.expectation, actual=actual, error=error),)
+    verdicts: List[Verdict] = []
     diverged = False
     for index, (step, expected) in enumerate(zip(steps, case.expectation)):
         actual = step if case.mode == FULL else step[0]
         ok = actual == expected
-        verdicts.append(StepVerdict(case.id, index, ok, expected=expected, actual=actual,
-                                    after_divergence=diverged))
+        verdicts.append(Verdict(case.id, ok, expected=expected, actual=actual, index=index,
+                                after_divergence=diverged))
         diverged = diverged or not ok
     if error is not None:
-        verdicts.append(StepVerdict(case.id, len(steps), False,
-                                    expected=case.expectation[len(steps)],
-                                    after_divergence=diverged, error=error))
+        verdicts.append(Verdict(case.id, False, expected=case.expectation[len(steps)],
+                                error=error, index=len(steps), after_divergence=diverged))
     return tuple(verdicts)
 
 
@@ -301,38 +285,6 @@ def instrument(delta: Delta, catalog: TransitionCatalog) -> Tuple[Delta, Coverag
         return delta(state, item)
 
     return instrumented, accumulator
-
-
-def boundary_interior_paths(catalog: TransitionCatalog, start_class: str,
-                            max_loop_unroll: int = 1) -> frozenset:
-    """All nonempty transition-id paths through the catalog's class graph
-    from start_class in which every edge occurs at most max_loop_unroll
-    times (so every cycle is traversed at most that often).  When no edge
-    leaves the start class the result is the singleton empty path.
-
-    Paths are abstract test designs; the engineer supplies concrete witness
-    inputs for each.
-    """
-    if start_class not in catalog.classes:
-        raise ValueError(f"unknown class {start_class!r} in catalog {catalog.machine!r}")
-    if max_loop_unroll < 1:
-        raise ValueError("max_loop_unroll must be at least 1")
-
-    edges = [(entry.id, entry.source, entry.target) for entry in catalog.entries]
-    paths = set()
-    used: Counter = Counter()
-
-    def extend(cls: str, path: Tuple[str, ...]):
-        for eid, src, tgt in edges:
-            if src == cls and used[eid] < max_loop_unroll:
-                new_path = path + (eid,)
-                paths.add(new_path)
-                used[eid] += 1
-                extend(tgt, new_path)
-                used[eid] -= 1
-
-    extend(start_class, ())
-    return frozenset(paths) if paths else frozenset({()})
 
 
 # Largest scenario horizon.  A run holds one tuple per slot on every wire,

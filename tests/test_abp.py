@@ -170,6 +170,11 @@ def test_oracle_from_dict_rejects_malformed_documents():
         OracleSpec.from_dict({"kind": "bernoulli", "pass_probability": 0.5})
     with pytest.raises(ValueError):
         OracleSpec.from_dict(None)
+    with pytest.raises(ValueError, match="^oracle: missing field 'kind'$"):
+        OracleSpec.from_dict({"bits": [True]})
+    for shape in ("x", [True], None, 3):
+        with pytest.raises(ValueError, match="^oracle: must be a JSON object$"):
+            OracleSpec.from_dict(shape)
 
 
 def test_fairness_warnings_flag_hopeless_explicit_oracles():

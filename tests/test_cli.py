@@ -164,8 +164,10 @@ def test_simulate_warns_about_unfair_oracles(tmp_path, capsys):
     {"kind": "explicit", "bits": 5},
     {"kind": "cyclic", "bits": ["no"]},
     {"kind": "explicit", "bits": [1, 0]},
+    "x",
+    [{"kind": "cyclic", "bits": [True]}],
 ], ids=["probability-string", "probability-bool", "seed-float", "seed-string",
-        "bits-int", "bits-strings", "bits-ints"])
+        "bits-int", "bits-strings", "bits-ints", "not-an-object-string", "not-an-object-list"])
 def test_simulate_rejects_malformed_oracle_fields(tmp_path, capsys, oracle):
     doc = {
         "name": "odd", "payload_slots": [[1]], "horizon": 4,
@@ -492,6 +494,11 @@ def test_coverage_failing_case_exits_1_even_when_complete(tmp_path, capsys):
     code, out, _ = run_cmd(capsys, "coverage", "--tables", str(path))
     assert code == 1
     assert "1 case(s) failed" in out
+    # The failing case is named as `test` names it, detail line included.
+    _, tested, _ = run_cmd(capsys, "test", "--no-bundled", "--tables", str(path))
+    failing = tested.splitlines()[:2]
+    assert failing[0] == "FAIL transition sender/lies"
+    assert out.endswith("\n".join([*failing, "1 case(s) failed"]) + "\n")
 
 
 def test_coverage_counts_case_verdicts_per_machine(tmp_path, capsys):

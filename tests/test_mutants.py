@@ -13,7 +13,7 @@ import json
 import pytest
 
 from abpsim import abp, cli, generate_scenario, golden, run_scenario
-from abpsim.runtime import DISABLED, FromB, MsgI, SetTimer, TimeoutEvent, _timed
+from abpsim.runtime import DISABLED, FromB, MsgI, MsgO, SetTimer, TimeoutEvent, _timed
 
 
 def _timer(late=False, sticky=False):
@@ -69,6 +69,45 @@ def _stale_ack_sender(timeout=abp.RESEND_TIMEOUT):
     return sender_delta
 
 
+def _bit_keeping_sender(timeout=abp.RESEND_TIMEOUT):
+    """The sender with ``bit`` in place of ``not bit`` on a matching ack: it
+    advances its queue but signs the next message with the old bit."""
+    sender = _make_sender_delta(timeout)
+
+    def sender_delta(state, event):
+        bit = state[0]
+        (new_bit, buffer), outputs = sender(state, event)
+        if new_bit != bit:
+            outputs = tuple(MsgO((bit, out.payload[1])) if isinstance(out, MsgO) else out
+                            for out in outputs)
+        return (bit, buffer), outputs
+
+    return sender_delta
+
+
+def _newest_resending_sender(timeout=abp.RESEND_TIMEOUT):
+    """The sender with ``buffer[-1]`` in place of ``buffer[0]`` on a
+    timeout: it resends the newest buffered payload, not the head."""
+    sender = _make_sender_delta(timeout)
+
+    def sender_delta(state, event):
+        bit, buffer = state
+        if event is TimeoutEvent and buffer:
+            return (bit, buffer), (MsgO((bit, buffer[-1])), SetTimer(timeout))
+        return sender(state, event)
+
+    return sender_delta
+
+
+def _never_flipping_receiver(expected, message):
+    """A receiver that delivers a matching message but keeps expecting
+    the same bit."""
+    bit, payload = message
+    if bit == expected:
+        return expected, (bit,), (payload,)
+    return expected, (bit,), ()
+
+
 def _always_accepting_receiver(expected, message):
     """A receiver that delivers every message and flips its bit."""
     bit, payload = message
@@ -83,6 +122,11 @@ MUTANTS = {
     "stale ack": [(abp, "make_sender_delta", _stale_ack_sender),
                   (golden, "sender_delta", _stale_ack_sender())],
     "always-accepting receiver": [(abp, "receiver_delta", _always_accepting_receiver)],
+    "bit kept on a matching ack": [(abp, "make_sender_delta", _bit_keeping_sender),
+                                   (golden, "sender_delta", _bit_keeping_sender())],
+    "never-flipping receiver": [(abp, "receiver_delta", _never_flipping_receiver)],
+    "newest payload resent": [(abp, "make_sender_delta", _newest_resending_sender),
+                              (golden, "sender_delta", _newest_resending_sender())],
 }
 
 CHECKS = {
@@ -105,10 +149,47 @@ _ACCEPTING_SEEDS = [
     226069907, 341363814, 1537917898, 3283731809, 3119071644, 470307423, 2471832771,
     3597897800, 3936366462, 463900173,
 ]
+# The 91 of its random scenarios that carry two payloads or more, in report
+# order: the identity checks that both the bit-keeping sender and the
+# never-flipping receiver fail.
+_MULTI_PAYLOAD_SEEDS = [
+    180158744, 77463203, 4161721069, 3155761739, 1776880500, 2184463183, 731863744, 4179291301,
+    2050339395, 3697327382, 2830392143, 1240758652, 1611253881, 371418105, 1633912366,
+    3041628535, 75686576, 3484052845, 914289910, 1767425012, 3601874758, 3464020530, 3224393583,
+    3459228293, 3039852410, 571022459, 764746998, 72668675, 752720107, 2336513962, 2989083549,
+    2625263320, 1311376113, 2018358017, 3496152656, 3564071675, 2468976585, 290024920,
+    4221690541, 3129565821, 2104750066, 2427917451, 2517013289, 3941867880, 1123107841,
+    3722841553, 3324919056, 3965465667, 2316970442, 3103209418, 3855531125, 31841879,
+    4138014150, 3771502798, 2792202456, 4045925893, 1013271168, 3292450183, 3045809550,
+    1427111678, 706720118, 3591045739, 1374543591, 3362806076, 2801201673, 1504344890,
+    1193811043, 4127630604, 3968920972, 2416600424, 4244845251, 697652374, 1255092780,
+    261033612, 1975471309, 226069907, 341363814, 1537917898, 3283731809, 3245371976, 2501034785,
+    3119071644, 470307423, 1661091608, 3702754306, 3356495489, 1208757114, 2471832771,
+    3597897800, 3936366462, 463900173,
+]
+# The 42 whose identity check the newest-resending sender fails.
+_NEWEST_RESENT_SEEDS = [
+    180158744, 77463203, 4161721069, 3155761739, 1776880500, 2184463183, 3697327382, 2830392143,
+    1240758652, 75686576, 3484052845, 914289910, 3039852410, 764746998, 2625263320, 1311376113,
+    3496152656, 2468976585, 3129565821, 1123107841, 3722841553, 3324919056, 3965465667,
+    3103209418, 3855531125, 31841879, 3771502798, 3292450183, 3045809550, 1427111678, 706720118,
+    3362806076, 3968920972, 4244845251, 1255092780, 261033612, 341363814, 3119071644,
+    1661091608, 3702754306, 3356495489, 1208757114,
+]
+_BIT_KEEPING_ROWS = ["transition sender/s4", "transition sender/s5",
+                     "path sender/p_send_ack_states"]
+_NEVER_FLIPPING_ROWS = ["transition receiver/r1", "transition receiver/r3"]
+_NEWEST_RESENT_ROWS = ["transition sender/s7"]
+
+
+def _identity_rows(seeds):
+    return [f"identity abp/seed-{seed}" for seed in seeds]
+
 
 # Mutant -> check -> (exit code, failing row ids as `test` prints them).
 # Both timer mutants survive: every check compares untimed histories and
-# the sender's table steps the delta without its timer.
+# the sender's table steps the delta without its timer.  The bit-keeping
+# sender is the one mutant that fails a path row.
 KILLS = {
     "none": dict.fromkeys(CHECKS, _PASSED),
     "late timer": dict.fromkeys(CHECKS, _PASSED),
@@ -116,9 +197,23 @@ KILLS = {
     "stale ack": dict.fromkeys(CHECKS, (1, ["transition sender/s6"])),
     "always-accepting receiver": {
         "test": (1, _ACCEPTING_ROWS),
-        "test --count 100": (1, _ACCEPTING_ROWS
-                             + [f"identity abp/seed-{seed}" for seed in _ACCEPTING_SEEDS]),
+        "test --count 100": (1, _ACCEPTING_ROWS + _identity_rows(_ACCEPTING_SEEDS)),
         "coverage": (1, _ACCEPTING_ROWS),
+    },
+    "bit kept on a matching ack": {
+        "test": (1, _BIT_KEEPING_ROWS + ["identity abp/all_pass"]),
+        "test --count 100": (1, _BIT_KEEPING_ROWS + _identity_rows(_MULTI_PAYLOAD_SEEDS)),
+        "coverage": (1, _BIT_KEEPING_ROWS),
+    },
+    "never-flipping receiver": {
+        "test": (1, _NEVER_FLIPPING_ROWS + ["identity abp/all_pass"]),
+        "test --count 100": (1, _NEVER_FLIPPING_ROWS + _identity_rows(_MULTI_PAYLOAD_SEEDS)),
+        "coverage": (1, _NEVER_FLIPPING_ROWS),
+    },
+    "newest payload resent": {
+        "test": (1, _NEWEST_RESENT_ROWS),
+        "test --count 100": (1, _NEWEST_RESENT_ROWS + _identity_rows(_NEWEST_RESENT_SEEDS)),
+        "coverage": (1, _NEWEST_RESENT_ROWS),
     },
 }
 

@@ -27,7 +27,6 @@ from abpsim import (
     STATES_ONLY,
     ScenarioSpec,
     SetTimer,
-    StepVerdict,
     Tick,
     TimeoutEvent,
     TransitionCase,
@@ -51,11 +50,12 @@ REPRS = [
     (Msg(FromA(1)), "Msg(FromA(payload=1))"),
     (CURSOR, "OracleCursor(spec=OracleSpec(kind='cyclic', bits=(True,), "
              "pass_probability=1.0, seed=0), position=2)"),
-    (Verdict("c", True), "Verdict(case_id='c', passed=True, expected=None, actual=None, "
-                         "error=None)"),
-    (StepVerdict("c", 1, False, error="E"),
-     "StepVerdict(case_id='c', index=1, passed=False, expected=None, actual=None, "
-     "after_divergence=False, error='E')"),
+    (Verdict("c", True),
+     "Verdict(case_id='c', passed=True, expected=None, actual=None, error=None, index=None, "
+     "after_divergence=False)"),
+    (Verdict("c", False, error="E", index=1),
+     "Verdict(case_id='c', passed=False, expected=None, actual=None, error='E', index=1, "
+     "after_divergence=False)"),
     (TransitionCase("t", (True, ()), 3, (True, (3,)), [SetTimer(3)]),
      "TransitionCase(id='t', start_state=(True, ()), input=3, expected_state=(True, (3,)), "
      "expected_outputs=(SetTimer(slots=3),))"),
@@ -84,7 +84,14 @@ REPRS = [
 ]
 
 
-@pytest.mark.parametrize("value, text", REPRS, ids=[text.split("(")[0] for _, text in REPRS])
+def _row_id(value, name):
+    """A table row's id: the verdict of one step of a path case (a `Verdict`
+    with an index) is named StepVerdict, apart from a case's verdict."""
+    return "Step" + name if type(value) is Verdict and value.index is not None else name
+
+
+@pytest.mark.parametrize("value, text", REPRS,
+                         ids=[_row_id(value, text.split("(")[0]) for value, text in REPRS])
 def test_values_have_field_wise_reprs(value, text):
     assert repr(value) == text
 
@@ -99,7 +106,8 @@ EQUAL_PAIRS = [
     (Msg(3), Msg(3)),
     (CURSOR, OracleCursor(OracleSpec(kind="cyclic", bits=(True,)), position=2)),
     (Verdict("c", True), Verdict(case_id="c", passed=True, expected=None)),
-    (StepVerdict("c", 0, True), StepVerdict("c", 0, True, after_divergence=False)),
+    (Verdict("c", True, index=0), Verdict(case_id="c", passed=True, expected=None, index=0,
+                                          after_divergence=False)),
     (TransitionCase("t", 0, 1, 2, [3]), TransitionCase("t", 0, 1, 2, (3,))),
     (PathCase("p", True, [1], STATES_ONLY, [False]),
      PathCase("p", True, (1,), STATES_ONLY, (False,))),
@@ -108,7 +116,8 @@ EQUAL_PAIRS = [
 ]
 
 
-@pytest.mark.parametrize("left, right", EQUAL_PAIRS, ids=[repr(l)[:20] for l, _ in EQUAL_PAIRS])
+@pytest.mark.parametrize("left, right", EQUAL_PAIRS,
+                         ids=[_row_id(l, repr(l))[:20] for l, _ in EQUAL_PAIRS])
 def test_equal_values_compare_and_hash_equal(left, right):
     assert left is not right
     assert left == right and not left != right
@@ -225,8 +234,7 @@ def _value_classes(base=_Value):
 EXAMPLES = {type(value): value for value, _ in REPRS}
 EXAMPLES.update({type(value): value for value in [
     OracleSpec("bernoulli", (True,), 0.5, 7),
-    Verdict("c", False, 1, 2, "E"),
-    StepVerdict("c", 1, False, 2, 3, True, "E"),
+    Verdict("c", True, 1, 2, "E"),
     CatalogEntry("e", "a", "b", callable, len),
     ScenarioSpec("s", [[1, 2]], 5, OracleSpec.explicit([True]), OracleSpec.bernoulli(0.5, 7),
                  timeout=4, sender_bit=False, receiver_bit=True, seed=3),
@@ -235,6 +243,9 @@ EXAMPLES.update({type(value): value for value in [
     MachineBinding(len, SENDER_CATALOG),
     _Component("c", 0, len, ("a",), ("b",)),
 ]})
+# Every example, and a step verdict: a `Verdict` whose index and
+# after_divergence are set too.
+VALUES = [*EXAMPLES.values(), Verdict("c", False, 1, 2, "E", 3, True)]
 
 
 def test_every_value_class_has_an_example():
@@ -242,24 +253,30 @@ def test_every_value_class_has_an_example():
     assert classes == set(EXAMPLES)
 
 
-@pytest.mark.parametrize("cls", list(EXAMPLES), ids=lambda cls: cls.__name__)
-def test_value_classes_bind_one_setter_per_field_in_slot_order(cls):
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: _row_id(v, type(v).__name__))
+def test_value_classes_bind_one_setter_per_field_in_slot_order(value):
+    cls = type(value)
     assert len(cls._setters) == len(cls.__slots__)
     bare = cls.__new__(cls)
     marks = [object() for _ in cls.__slots__]
     for setter, mark in zip(cls._setters, marks):
         setter(bare, mark)
     assert [getattr(bare, name) for name in cls.__slots__] == marks
+    # Set through the setters, the value's own fields rebuild it.
+    twin = cls.__new__(cls)
+    for setter, field in zip(cls._setters, value._fields(value)):
+        setter(twin, field)
+    assert twin == value
 
 
-@pytest.mark.parametrize("value", list(EXAMPLES.values()), ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: _row_id(v, type(v).__name__))
 def test_constructors_set_each_field_from_its_own_argument(value):
     fields = dict(zip(value.__slots__, value._fields(value)))
     rebuilt = type(value)(**fields)
     assert {name: getattr(rebuilt, name) for name in value.__slots__} == fields
 
 
-@pytest.mark.parametrize("value", list(EXAMPLES.values()), ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: _row_id(v, type(v).__name__))
 def test_every_value_refuses_assignment_and_deletion(value):
     before = value._fields(value)
     for name in value.__slots__:
