@@ -15,8 +15,9 @@ skeleton is joined by `_json_text`, with each wire's `slots` left out;
 each wire, in both formats, is rendered and written a block of `_BLOCK`
 slots at a time, so no text holds a whole wire or document.  Each distinct
 slot of a wire is rendered once, while at most `_KEPT_TEXTS` texts are
-kept, and each block is joined with no interpreted step per slot.  Human
-output honors NO_COLOR.
+kept, and each block is joined with no interpreted step per slot.  A run
+stores no slot of its quiet tail; the tail is written as the text of one
+empty slot, repeated.  Human output honors NO_COLOR.
 
 `run` pauses the cyclic garbage collector for the one command and restores
 its previous state after it.  A command keeps tens of thousands of small
@@ -108,12 +109,21 @@ def _rendered_slots(slots, render, texts: dict) -> List[str]:
 _BLOCK = 1024
 # Most distinct slot texts kept from one block of a wire for the next ones.
 _KEPT_TEXTS = 4 * _BLOCK
+# Empty slots per piece of a wire's quiet tail.  Each piece's text, at most
+# about 4 kB in JSON, stays below the 8 kB chunk in which the text writer
+# gathers short pieces before it encodes them; a longer piece is encoded on
+# its own, and the peak of writing a long tail then varied by some 16 kB
+# with where the tail's last piece ended.
+_TAIL_BLOCK = 256
 
 
-def _blocks(slots, render, sep: str) -> Iterator[str]:
-    """``sep.join(map(render, slots))`` in pieces of `_BLOCK` slots, each
-    rendered when the one before it has been consumed.  Each distinct slot
-    is rendered once, unless the wire has more than `_KEPT_TEXTS` of them."""
+def _blocks(slots, render, sep: str, length: int) -> Iterator[str]:
+    """``sep.join(map(render, wire))`` in pieces of `_BLOCK` slots, each
+    rendered when the one before it has been consumed, where `wire` is
+    `slots` padded with empty slots to `length`.  Each distinct slot is
+    rendered once, unless the wire has more than `_KEPT_TEXTS` of them; the
+    padding is the text of one empty slot, repeated, `_TAIL_BLOCK` slots a
+    piece."""
     texts: Dict[str, str] = {}
     head = ""
     for start in range(0, len(slots), _BLOCK):
@@ -122,6 +132,10 @@ def _blocks(slots, render, sep: str) -> Iterator[str]:
         yield _joined(head, _rendered_slots(slots[start:start + _BLOCK], render, texts),
                       sep, "")
         head = sep
+    empty = render(())
+    for start in range(len(slots), length, _TAIL_BLOCK):
+        yield head + sep.join([empty] * min(_TAIL_BLOCK, length - start))
+        head = sep
 
 
 def _slot_text(slot) -> str:
@@ -129,25 +143,29 @@ def _slot_text(slot) -> str:
 
 
 class _Slots:
-    """A wire's `slots` in a document: `_json_chunks` renders them where
-    they sit, a block at a time, each slot a list of payload literals."""
+    """A wire's `slots` in a document, padded with empty slots to `length`:
+    `_json_chunks` renders them where they sit, a block at a time, each
+    slot a list of payload literals."""
 
-    __slots__ = ("slots",)
+    __slots__ = ("slots", "length")
 
-    def __init__(self, slots):
+    def __init__(self, slots, length: int):
         self.slots = slots
+        self.length = length
 
 
 def _wires_json(wires) -> List[dict]:
-    """The JSON `wires` list for (name, slots) pairs, each wire's slots
-    left for `_json_chunks` to render."""
-    return [{"name": wire, "slots": _Slots(slots)} for wire, slots in wires]
+    """The JSON `wires` list for (name, slots, length) triples, each wire's
+    slots, padded with empty slots to its length, left for `_json_chunks`
+    to render."""
+    return [{"name": wire, "slots": _Slots(slots, length)} for wire, slots, length in wires]
 
 
-def _slots_json(slots, newline: str) -> Iterator[str]:
-    """The JSON text of a wire's `slots` in pieces; `newline` is a newline
-    and the indent of the line the list starts on."""
-    if not slots:
+def _slots_json(slots, length: int, newline: str) -> Iterator[str]:
+    """The JSON text of a wire's `slots`, padded with empty slots to
+    `length`, in pieces; `newline` is a newline and the indent of the line
+    the list starts on."""
+    if not length:
         yield "[]"
         return
     inner = newline + "  "
@@ -160,7 +178,7 @@ def _slots_json(slots, newline: str) -> Iterator[str]:
         return _joined(head, [_encode_str(_render_payload(p)) for p in slot], sep, tail)
 
     yield "[" + inner
-    yield from _blocks(slots, slot_json, "," + inner)
+    yield from _blocks(slots, slot_json, "," + inner, length)
     yield newline + "]"
 
 
@@ -173,19 +191,19 @@ def _json_chunks(doc: dict) -> Iterator[str]:
     """The JSON text of `doc`, as `_json_text` gives it, in pieces.  The
     document is joined with a `_MARK` for each `_Slots`, whose slots are
     rendered at the mark's depth as the pieces are consumed."""
-    deferred: List[Tuple[Any, str]] = []
+    deferred: List[Tuple[_Slots, str]] = []
     pieces = iter(_json_text(doc, deferred).split(_MARK))
     yield next(pieces)
-    for (slots, newline), piece in zip(deferred, pieces):
-        yield from _slots_json(slots, newline)
+    for (wire, newline), piece in zip(deferred, pieces):
+        yield from _slots_json(wire.slots, wire.length, newline)
         yield piece
 
 
 def _json_text(doc: dict, deferred: Optional[list] = None) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte,
     for documents of str-keyed dicts, lists, tuples, str, int, bool, None
-    and float; each `_Slots` becomes a `_MARK`, its slots and the newline
-    of its line appended to `deferred`.  The stdlib encodes indented JSON
+    and float; each `_Slots` becomes a `_MARK`, it and the newline of its
+    line appended to `deferred`.  The stdlib encodes indented JSON
     in pure Python; this writer makes one call per container and none per
     string or int, hands every other leaf to `json.dumps`, and joins each
     container, the document's final newline included, in one `join`."""
@@ -230,7 +248,7 @@ def _json_value(value, newline: str, deferred: Optional[list]) -> str:
         return _joined("{" + inner, _members(value, inner, deferred), "," + inner,
                        newline + "}")
     if type(value) is _Slots:
-        deferred.append((value.slots, newline))
+        deferred.append((value, newline))
         return _MARK
     if type(value) is int:
         return int.__repr__(value)
@@ -340,13 +358,13 @@ def _trace_text(scenario: ScenarioSpec, run) -> Iterator[str]:
     width = max(map(len, run.wire_order))
     for wire in run.wire_order:
         yield f"  {wire.ljust(width)}  "
-        yield from _blocks(run.slots[wire], _slot_text, " ")
+        yield from _blocks(run.stored[wire], _slot_text, " ", run.horizon)
         yield "\n"
 
 
 def _trace_json(scenario: ScenarioSpec, run) -> Iterator[str]:
     """The JSON `simulate` document."""
-    wires = _wires_json((wire, run.slots[wire]) for wire in run.wire_order)
+    wires = _wires_json((wire, run.stored[wire], run.horizon) for wire in run.wire_order)
     return _json_chunks({"meta": _meta(scenario), "wires": wires, "verdicts": [],
                          "coverage": None})
 
@@ -451,7 +469,8 @@ def _identity_row(scenario: ScenarioSpec) -> dict:
         detail += "; fairness warning: " + "; ".join(result.warnings)
     row["detail"] = detail
     if result.status is IdentityStatus.FAIL and result.wires is not None:
-        row["wires"] = _wires_json(result.wires.items())
+        horizon = result.scenario.horizon
+        row["wires"] = _wires_json((wire, slots, horizon) for wire, slots in result.wires.items())
     return row
 
 

@@ -340,15 +340,27 @@ class NetworkSpec:
 
 
 class NetworkRun(_Value):
-    """Recorded wire histories of a network run: per wire, one payload tuple
-    per slot, truncated uniformly to the requested horizon."""
+    """Recorded wire histories of a network run over `horizon` slots.
 
-    __slots__ = ("wire_order", "slots")
+    `stored` holds, per wire, one payload tuple per slot up to the slot the
+    network fell quiet in, the same length on every wire; every slot from
+    there to the horizon is empty, and is not stored.  `slots` is the full
+    view, each wire padded with empty slots to the horizon."""
 
-    def __init__(self, wire_order: Tuple[str, ...], slots: Dict[str, List[tuple]]):
-        set_wire_order, set_slots = self._setters
+    __slots__ = ("wire_order", "stored", "horizon")
+
+    def __init__(self, wire_order: Tuple[str, ...], stored: Dict[str, List[tuple]],
+                 horizon: int):
+        set_wire_order, set_stored, set_horizon = self._setters
         set_wire_order(self, wire_order)
-        set_slots(self, slots)
+        set_stored(self, stored)
+        set_horizon(self, horizon)
+
+    @property
+    def slots(self) -> Dict[str, List[tuple]]:
+        """Every wire's history over the whole horizon, as new lists."""
+        return {wire: wire_history + [()] * (self.horizon - len(wire_history))
+                for wire, wire_history in self.stored.items()}
 
 
 def _item_slot_form(delta: Delta, name: str) -> Callable[[Any, Sequence[Any]], Tuple[Any, tuple]]:
@@ -398,8 +410,10 @@ def _round_step(comp: _Component, history: Dict[str, List[tuple]]) -> Callable[[
 
 def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int) -> NetworkRun:
     """Evaluate the network over the first `slots` slots and record every
-    wire's history.  Identical spec, inputs and slot count give identical
-    histories; a negative slot count raises ValueError.
+    wire's history up to the slot the network falls quiet in; `slots` is
+    the run's horizon (see `NetworkRun`).  Identical spec, inputs and slot
+    count give identical histories; a negative slot count raises
+    ValueError.
 
     Each external wire is read once, up front: at most `slots` slots of its
     stream go straight into its history.  Each round, the first included,
@@ -424,12 +438,16 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
     empty from that slot on (slots initializers filled ahead included, fed
     slots of later rounds not), the network is at a fixed point: no delta
     is called and no produced wire is touched until the next round with a
-    non-empty fed slot.  The run jumps straight there, or to the end, each
-    produced wire gets the empty slots of the quiet stretch at once, and
-    stepping resumes.  This relies on the contract of every delta: it is
-    pure, and states that compare equal behave alike.  A state that never
-    compares equal to its predecessor just disables the shortcut; the
-    histories are the same either way.
+    non-empty fed slot.  The run jumps straight there, each produced wire
+    gets the empty slots of the quiet stretch at once, and stepping
+    resumes.  Without such a slot before the end, the run stops: every wire
+    is empty from that round on, so every wire is cut there, to one common
+    length, and the rest of the horizon is stored as its length alone.  An
+    input error read up front is raised even when the network stops before
+    its round.  This relies on the contract of every delta: it is pure, and
+    states that compare equal behave alike.  A state that never compares
+    equal to its predecessor just disables the shortcut; the histories are
+    the same either way.
     """
     if slots < 0:
         raise ValueError(f"slot count must be >= 0, got {slots}")
@@ -460,9 +478,10 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
             wire_history.extend(feed)
         except Exception as exc:  # the stream's own, raised in its round below
             error = exc
-        # `read` becomes the round this wire fails in, if it fails.
+        # `read` becomes the round this wire fails in, if it fails.  The
+        # pre-filled slots are tuples, so the whole list is checked.
         read = len(wire_history) - start
-        if not all(map(isinstance, islice(wire_history, start, None), repeat(tuple))):
+        if not all(map(isinstance, wire_history, repeat(tuple))):
             read, slot = next((i, slot) for i, slot in enumerate(wire_history[start:])
                               if not isinstance(slot, tuple))
             error = ModelError(f"external wire {wire!r} was fed a {type(slot).__name__} "
@@ -471,12 +490,15 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
             error = ModelError(f"external input ended after {read} slots, {slots} requested")
         if error is not None and read < stop:
             stop, failure = read, error
-        fed.append(islice(wire_history, start, start + read))
+        # Without an initializer or a bad slot, the fed slots are the whole
+        # list, which is scanned faster as it is than through `islice`.  A
+        # bad slot is never truth-tested.
+        fed.append(wire_history if read == len(wire_history)
+                   else islice(wire_history, start, start + read))
     # The rounds with a non-empty fed slot, up to `stop` at least, found as
-    # the run goes: the only ones a settled network must wake for.  A jump
-    # past `stop` only ends the run on its error.  A lone wire is scanned
-    # as it is: through `zip` and `any` its scan costs about three times
-    # as much.
+    # the run goes: the only ones a settled network must wake for.  With
+    # none left before `stop`, it stops.  A lone wire is scanned as it is:
+    # through `zip` and `any` its scan costs about three times as much.
     wakes = compress(count(), fed[0] if len(fed) == 1 else map(any, zip(*fed)))
     wake = next(wakes, slots)  # the first such round at or after `index`
 
@@ -497,7 +519,11 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
                 unchanged = new == state
         if unchanged and not any(any(wire_history[index:index + reach])
                                  for wire_history, reach in ahead):
-            # Settled: rounds index + 1 to wake - 1 would step nothing.
+            # Settled: rounds index + 1 to wake - 1 would step nothing, and
+            # without a wake before `stop` every wire is empty from slot
+            # index on.
+            if wake >= stop:
+                break
             for wire_history in produced:
                 wire_history.extend(repeat((), wake - index - 1))
             index = wake
@@ -506,6 +532,12 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
 
     if failure is not None:
         raise failure
+    if index < slots:
+        # Stopped early.  `del` holds a pointer to each slot it deletes
+        # until it is done, as many as the fed wires hold past `index`, so
+        # those are cut by copying what they keep.
+        for wire in external:
+            history[wire] = history[wire][:index]
     for wire_history in history.values():
-        del wire_history[slots:]
-    return NetworkRun(spec.wire_order, history)
+        del wire_history[index:]
+    return NetworkRun(spec.wire_order, history, slots)

@@ -287,8 +287,8 @@ def instrument(delta: Delta, catalog: TransitionCatalog) -> Tuple[Delta, Coverag
     return instrumented, accumulator
 
 
-# Largest scenario horizon.  A run holds one tuple per slot on every wire,
-# so memory grows with the horizon even where quiet slots cost little time.
+# Largest scenario horizon.  A run reads one input slot per horizon slot
+# and holds one tuple per slot on every wire until the network falls quiet.
 _HORIZON_LIMIT = 1_000_000
 
 # Most payloads one scenario may carry.  The sender's buffer is a tuple that
@@ -511,7 +511,10 @@ class IdentityResult(_Value):
     INCONCLUSIVE_HORIZON means the delivered sequence is a strict prefix of
     the sent one: nothing wrong was observed, the horizon was just too short
     to see every delivery.  Order, duplication, or alteration violations are
-    hard FAILs carrying the first divergent index and all wire traces.
+    hard FAILs carrying the first divergent index.  Both keep the wire
+    traces as the run stored them: `wires` holds each wire's slots up to
+    the quiet tail, and every slot from there to the scenario's horizon is
+    empty.
     """
 
     __slots__ = ("scenario", "status", "expected", "actual", "divergence", "wires", "warnings")
@@ -562,20 +565,20 @@ def check_identity(scenario: ScenarioSpec) -> IdentityResult:
     against untimed input."""
     run, warnings = run_scenario(scenario)
     expected = scenario.payloads()
-    actual = tuple(p for slot in run.slots["out"] for p in slot)
+    actual = tuple(p for slot in run.stored["out"] for p in slot)
 
     if actual == expected:
         status, divergence, wires = IdentityStatus.PASS, None, None
     elif len(actual) < len(expected) and actual == expected[: len(actual)]:
         status, divergence = IdentityStatus.INCONCLUSIVE_HORIZON, None
-        wires = {w: tuple(run.slots[w]) for w in run.wire_order}
+        wires = {w: tuple(run.stored[w]) for w in run.wire_order}
     else:
         status = IdentityStatus.FAIL
         divergence = next(
             (i for i, (a, e) in enumerate(zip(actual, expected)) if a != e),
             min(len(actual), len(expected)),
         )
-        wires = {w: tuple(run.slots[w]) for w in run.wire_order}
+        wires = {w: tuple(run.stored[w]) for w in run.wire_order}
 
     return IdentityResult(
         scenario=scenario,

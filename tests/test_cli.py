@@ -760,13 +760,19 @@ def _document(doc) -> str:
     return "".join(cli._json_chunks(doc))
 
 
-def _wire_text(slots) -> str:
-    return "".join(cli._blocks(slots, cli._slot_text, " "))
+def _wire_text(slots, quiet=0) -> str:
+    # The human text of `slots` followed by `quiet` empty slots.
+    return "".join(cli._blocks(slots, cli._slot_text, " ", len(slots) + quiet))
+
+
+def _padded(wires):
+    # (name, slots, quiet) triples as `_wires_json` takes them.
+    return [(name, slots, len(slots) + quiet) for name, slots, quiet in wires]
 
 
 def test_wires_json_tells_equal_slots_of_different_types_apart():
     slots = [(True,), (1,), (True, 1), (1, 1), (1,), (True, 1), ((True, 1),), ((1, 1),)]
-    doc = {"wires": cli._wires_json([("a", slots), ("b", slots[::-1])])}
+    doc = {"wires": cli._wires_json(_padded([("a", slots, 0), ("b", slots[::-1], 0)]))}
     a, b = (wire["slots"] for wire in json.loads(_document(doc))["wires"])
     assert a == [["true"], ["1"], ["true", "1"], ["1", "1"], ["1"],
                  ["true", "1"], ["[true,1]"], ["[1,1]"]]
@@ -778,6 +784,8 @@ def test_wire_text_tells_equal_slots_of_different_types_apart():
     assert _wire_text(slots) == ("true ~ 1 ~ ~ true 1 ~ 1 1 ~ 1 ~ true ~ "
                                  "[true,1] ~ [1,1] ~")
     assert _wire_text([]) == ""
+    assert _wire_text([], 3) == "~ ~ ~"
+    assert _wire_text([(1,)], 2) == "1 ~ ~ ~"
 
 
 # A slot payload: an int, a bool, a signed message (bool, int), or a nested
@@ -787,7 +795,10 @@ _payloads = st.recursive(
     lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6)
 _slots = st.lists(st.sampled_from([(), (True,), (1,), (False,), (0,)])
                   | st.lists(_payloads, max_size=3).map(tuple), max_size=12)
-_wires = st.lists(st.tuples(st.text(max_size=3), _slots), max_size=4)
+_TAIL = cli._TAIL_BLOCK
+# A wire: its name, its stored slots and the empty slots of its quiet tail.
+_wires = st.lists(st.tuples(st.text(max_size=3), _slots, st.integers(0, 2 * _TAIL + 1)),
+                  max_size=4)
 
 _BLOCK = cli._BLOCK
 _PATTERN = [(), (1,), (True,), (True, 1), ((True, 1),), ((1, 1),), (0,), (False,)]
@@ -802,8 +813,11 @@ def _long_wire(length):
     return slots
 
 
-_LONG_WIRES = [(f"w{length}", _long_wire(length))
-               for length in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)]
+_LONG_WIRES = [(f"w{length}", _long_wire(length), quiet)
+               for length, quiet in [(0, 0), (1, 1), (_BLOCK - 1, _TAIL - 1), (_BLOCK, _TAIL),
+                                     (_BLOCK + 1, _TAIL + 1), (2 * _BLOCK + 1, 2 * _TAIL + 1)]]
+# Quiet tails of 1, _TAIL and more slots after no stored slot and after one.
+_TAILS = [("a", [], 1), ("b", [], _TAIL + 1), ("c", [(1,)], _TAIL), ("d", [(True,)], 2 * _TAIL)]
 
 
 def _stdlib_lines(doc):
@@ -811,26 +825,27 @@ def _stdlib_lines(doc):
 
 
 @given(_wires)
-@example([("a", [(True,), (1,), (), (True,), ((True, 1),), ((1, 1),)]), ("b", [])])
+@example([("a", [(True,), (1,), (), (True,), ((True, 1),), ((1, 1),)], 0), ("b", [], 0)])
 @example(_LONG_WIRES)
+@example(_TAILS)
 def test_wires_json_is_the_stdlib_encoding_of_its_literals(wires):
-    literals = [[[format_value(p, strict=False) for p in slot] for slot in slots]
-                for _, slots in wires]
-    plain = [{"name": name, "slots": slots} for (name, _), slots in zip(wires, literals)]
-    doc = {"meta": {"tool": "abpsim"}, "wires": cli._wires_json(wires), "verdicts": [],
+    literals = [[[format_value(p, strict=False) for p in slot] for slot in slots] + [[]] * quiet
+                for _, slots, quiet in wires]
+    plain = [{"name": name, "slots": slots} for (name, _, _), slots in zip(wires, literals)]
+    doc = {"meta": {"tool": "abpsim"}, "wires": cli._wires_json(_padded(wires)), "verdicts": [],
            "coverage": None}
     expected = {**doc, "wires": plain}
     # Compared as lists of lines and words, whose first difference pytest
     # reports at once; its diff of two long texts takes minutes.
     assert _document(doc).split("\n") == _stdlib_lines(expected)
     # A FAIL identity row of `test` embeds its wires three levels deeper.
-    row = {"kind": "identity", "status": "fail", "wires": cli._wires_json(wires)}
+    row = {"kind": "identity", "status": "fail", "wires": cli._wires_json(_padded(wires))}
     doc = {"meta": {}, "wires": [], "verdicts": [{"id": 1}, row], "coverage": None}
     expected = {**doc, "verdicts": [{"id": 1}, {**row, "wires": plain}]}
     assert _document(doc).split("\n") == _stdlib_lines(expected)
     # The human trace: each slot's literals and a "~", space-separated.
-    for (_, slots), wire in zip(wires, literals):
-        assert _wire_text(slots).split(" ") == " ".join(
+    for (_, slots, quiet), wire in zip(wires, literals):
+        assert _wire_text(slots, quiet).split(" ") == " ".join(
             " ".join([*slot, "~"]) for slot in wire).split(" ")
 
 
@@ -862,7 +877,7 @@ def test_rendering_memory_does_not_grow_with_distinct_slots():
         slots = [(n,) for n in range(length)]
         tracemalloc.start()
         try:
-            for _ in cli._blocks(slots, cli._slot_text, " "):
+            for _ in cli._blocks(slots, cli._slot_text, " ", length):
                 pass
             return tracemalloc.get_traced_memory()[1]
         finally:

@@ -175,11 +175,18 @@ def test_run_network_pipeline_records_every_wire():
     assert run.wire_order == ("a", "b", "c")
 
 
+class _Unsure:
+    # A slot whose truth value cannot be told, as with an array.
+    def __bool__(self):
+        raise ValueError("truth value is ambiguous")
+
+
 @pytest.mark.parametrize("fed, initializer, index", [
     ([[1], [2]], [], 0),
     ([(1,), [2]], [], 1),
     ([[1], (2,)], [Msg(9), Tick], 0),
     ([(1,), "2"], [Tick, Msg(9), Tick], 1),
+    ([(), _Unsure()], [], 1),
 ])
 def test_run_network_rejects_fed_slots_that_are_not_tuples(fed, initializer, index):
     net = NetworkSpec()
@@ -649,6 +656,8 @@ def test_a_stream_error_surfaces_in_its_own_round(reference_run, fussy, error, m
     ([(1,), [2]], [(), FAULT], ModelError),
     ([(1,), (), FAULT], [(), [2]], ModelError),
     ([(1,), [2]], [(), (), FAULT], ModelError),
+    # A fed slot that is not even iterable.
+    ([(1,), None], [(), ()], ModelError),
 ])
 def test_input_errors_come_out_by_round_then_feed_order(reference_run, fed_a, fed_b, error):
     net = NetworkSpec()
@@ -718,6 +727,34 @@ def test_quiet_stretches_are_padded_to_the_reference_histories(reference_run, in
     assert len(ticks) == stepped
     assert run.slots == reference_run(_bouncing([], initializer), {"a": inject_ticks(fed)}, slots)
     assert all(len(run.slots[wire]) == slots for wire in run.wire_order)
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (FAULT, KeyError, "stream fault in slot 20"),
+    (None, ModelError, "external wire 'a' was fed a NoneType in slot 20, not a tuple of payloads"),
+], ids=["stream-raises", "yields-None"])
+def test_an_input_error_after_the_network_settled_still_raises(reference_run, bad, error,
+                                                               message):
+    # The network settles after slot 3 and has no non-empty fed slot left,
+    # so it stops there; the stream fails in slot 20 all the same.
+    fed = [(2,)] + [()] * 19 + [bad] + [()] * 9
+    ticks = []
+    with pytest.raises(error) as raised:
+        run_network(_bouncing(ticks, ONE_TICK), {"a": _fed_stream(fed)}, 30)
+    assert message in str(raised.value) and len(ticks) == 4
+    with pytest.raises(error) as expected:
+        reference_run(_bouncing([], ONE_TICK), {"a": _fed_stream(fed)}, 30)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_a_stopped_run_stores_one_common_prefix_and_pads_its_view():
+    run = run_network(_bouncing([], ONE_TICK), {"a": inject_ticks([(2,)] + [()] * 39)}, 40)
+    # Stepped through slot 3, which left every wire empty: the stored
+    # prefix ends there, and `slots` pads each wire to the horizon.
+    assert run.horizon == 40
+    assert run.stored == {"a": [(2,), (), ()], "back": [(), (2,), (1,)],
+                          "mid": [(2,), (1,), ()], "out": [(2,), (1,), ()]}
+    assert run.slots == {wire: stored + [()] * 37 for wire, stored in run.stored.items()}
 
 
 # -------------------------------------------------- pinned port shapes

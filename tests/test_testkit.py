@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
@@ -535,6 +536,37 @@ def test_fast_forward_matches_full_stepping_on_abp_scenarios(full_stepping, refe
     _assert_fast_forward_matches_references(scenario, full_stepping, reference_run)
 
 
+def test_runs_stop_at_quiescence_and_pad_their_view_to_the_reference(reference_run):
+    for seed in range(100):
+        scenario = generate_scenario(seed)
+        run, _ = run_scenario(scenario)
+        [quiet] = {len(stored) for stored in run.stored.values()}
+        # The generated horizons leave room after the last delivery.
+        assert quiet < scenario.horizon == run.horizon
+        wires = run.slots
+        assert all(slots[quiet:] == [()] * (scenario.horizon - quiet) for slots in wires.values())
+        assert wires == _reference_outcome(scenario, reference_run)
+
+
+def test_a_run_stores_no_slot_of_its_quiet_tail():
+    def peak(horizon):
+        scenario = ScenarioSpec.from_dict({**bundled_scenario("single_drop").to_dict(),
+                                           "horizon": horizon})
+        tracemalloc.start()
+        try:
+            run_scenario(scenario)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # The input wire is read whole, one pointer per slot; a run that kept
+    # its quiet tail would hold one per slot on each of its six wires.
+    short, long = peak(50_000), peak(100_000)
+    assert long - short < 16 * 50_000, (short, long)
+    # Nor is the input's tail held twice while it is cut off.
+    assert long < 12 * 100_000, long
+
+
 def test_fast_forward_calls_deltas_only_in_busy_slots(rewire):
     single_drop = bundled_scenario("single_drop")
     scenario = ScenarioSpec(single_drop.name, single_drop.payload_slots, 100_000,
@@ -551,9 +583,10 @@ def test_fast_forward_calls_deltas_only_in_busy_slots(rewire):
 
     with abp_networks_rewired(lambda net: rewire(net, delta=counted)):
         run, _ = run_scenario(scenario)
-    assert [p for slot in run.slots["out"] for p in slot] == [1]
+    wires = run.slots
+    assert [p for slot in wires["out"] for p in slot] == [1]
     busy = sum(1 for index in range(scenario.horizon)
-               if any(run.slots[wire][index] for wire in run.wire_order))
+               if any(wires[wire][index] for wire in run.wire_order))
     # Four components each take a tick per stepped slot, plus one call per
     # message; the network settles a few slots after the last busy one.
     # Stepping every slot would take over 400,000 calls.

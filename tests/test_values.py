@@ -78,8 +78,8 @@ REPRS = [
     (TableCase("sender", TransitionCase("t", 0, 1, 2, ())),
      "TableCase(machine='sender', case=TransitionCase(id='t', start_state=0, input=1, "
      "expected_state=2, expected_outputs=()), note='')"),
-    (NetworkRun(("a",), {"a": [(), (1,)]}),
-     "NetworkRun(wire_order=('a',), slots={'a': [(), (1,)]})"),
+    (NetworkRun(("a",), {"a": [(), (1,)]}, 5),
+     "NetworkRun(wire_order=('a',), stored={'a': [(), (1,)]}, horizon=5)"),
     (CoverageAccumulator(), "CoverageAccumulator(transitions=Counter(), classes=Counter())"),
 ]
 
@@ -145,10 +145,11 @@ def test_values_of_different_classes_or_fields_differ():
 
 
 def test_values_holding_dicts_compare_by_fields_and_do_not_hash():
-    assert NetworkRun(("a",), {"a": [()]}) == NetworkRun(("a",), {"a": [()]})
-    assert NetworkRun(("a",), {"a": [()]}) != NetworkRun(("a",), {"a": [(1,)]})
+    assert NetworkRun(("a",), {"a": [()]}, 1) == NetworkRun(("a",), {"a": [()]}, 1)
+    assert NetworkRun(("a",), {"a": [()]}, 1) != NetworkRun(("a",), {"a": [(1,)]}, 1)
+    assert NetworkRun(("a",), {"a": [()]}, 1) != NetworkRun(("a",), {"a": [()]}, 2)
     assert CoverageAccumulator() == CoverageAccumulator(Counter(), Counter())
-    for value in (NetworkRun((), {}), CoverageAccumulator()):
+    for value in (NetworkRun((), {}, 0), CoverageAccumulator()):
         with pytest.raises(TypeError):
             hash(value)
 
@@ -208,7 +209,7 @@ def test_scenario_bounds_are_checked_on_construction(changes, message):
 
 
 @pytest.mark.parametrize("value", [FromA(1), CURSOR, SCENARIO, Verdict("c", True),
-                                   NetworkRun(("a",), {"a": [(1,)]})])
+                                   NetworkRun(("a",), {"a": [(1,)]}, 1)])
 def test_values_survive_copy_and_pickle(value):
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
