@@ -11,8 +11,9 @@ report that cannot be written to ``--out`` or stdout is one, and so is
 running out of memory).  JSON output is byte-deterministic for identical
 inputs: its bytes equal ``json.dumps(doc, sort_keys=True, indent=2)`` plus
 a newline.  `_emit` writes every document as it is rendered.  The JSON
-skeleton is joined by `_json_text`, with each wire's `slots` left out;
-each wire, in both formats, is rendered and written a block of `_BLOCK`
+skeleton is joined by `_json_text`, with each wire's `slots` left out
+(a FAIL identity row's wires are run again when they are written); each
+wire, in both formats, is rendered and written a block of `_BLOCK`
 slots at a time, so no text holds a whole wire or document.  Each distinct
 slot of a wire is rendered once, while at most `_KEPT_TEXTS` texts are
 kept, and each block is joined with no interpreted step per slot.  A run
@@ -154,11 +155,11 @@ class _Slots:
         self.length = length
 
 
-def _wires_json(wires) -> List[dict]:
-    """The JSON `wires` list for (name, slots, length) triples, each wire's
-    slots, padded with empty slots to its length, left for `_json_chunks`
-    to render."""
-    return [{"name": wire, "slots": _Slots(slots, length)} for wire, slots, length in wires]
+def _wires_json(run) -> List[dict]:
+    """The JSON `wires` list of a run: each wire's stored slots, padded with
+    empty slots to the run's horizon, left for `_json_chunks` to render."""
+    return [{"name": wire, "slots": _Slots(run.stored[wire], run.horizon)}
+            for wire in run.wire_order]
 
 
 def _slots_json(slots, length: int, newline: str) -> Iterator[str]:
@@ -182,31 +183,43 @@ def _slots_json(slots, length: int, newline: str) -> Iterator[str]:
     yield newline + "]"
 
 
-# Stands in the document text for each `_Slots`; never in encoded JSON, since
-# `_encode_str` escapes every control character.
+# Stands in the document text for each deferred value; never in encoded
+# JSON, since `_encode_str` escapes every control character.
 _MARK = "\x00"
 
 
 def _json_chunks(doc: dict) -> Iterator[str]:
-    """The JSON text of `doc`, as `_json_text` gives it, in pieces.  The
-    document is joined with a `_MARK` for each `_Slots`, whose slots are
-    rendered at the mark's depth as the pieces are consumed."""
-    deferred: List[Tuple[_Slots, str]] = []
-    pieces = iter(_json_text(doc, deferred).split(_MARK))
+    """The JSON text of `doc`, as `_json_text` gives it, in pieces.  Each
+    `_Slots` and `ScenarioSpec` in it is rendered at its `_MARK`'s depth as
+    the pieces are consumed: a scenario as the `wires` list of its run,
+    which is run again there and dropped once written."""
+    deferred: List[Tuple[Any, str]] = []
+    return _filled(_json_text(doc, deferred), deferred)
+
+
+def _filled(text: str, deferred: List[Tuple[Any, str]]) -> Iterator[str]:
+    """`text` in pieces, each `_MARK` replaced by its value in `deferred`."""
+    pieces = iter(text.split(_MARK))
     yield next(pieces)
-    for (wire, newline), piece in zip(deferred, pieces):
-        yield from _slots_json(wire.slots, wire.length, newline)
+    for (value, newline), piece in zip(deferred, pieces):
+        if type(value) is _Slots:
+            yield from _slots_json(value.slots, value.length, newline)
+        else:
+            # Rebinding `inner` drops the last run before this one is made.
+            inner: list = []
+            text = _json_value(_wires_json(run_scenario(value)[0]), newline, inner)
+            yield from _filled(text, inner)
         yield piece
 
 
 def _json_text(doc: dict, deferred: Optional[list] = None) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte,
     for documents of str-keyed dicts, lists, tuples, str, int, bool, None
-    and float; each `_Slots` becomes a `_MARK`, it and the newline of its
-    line appended to `deferred`.  The stdlib encodes indented JSON
-    in pure Python; this writer makes one call per container and none per
-    string or int, hands every other leaf to `json.dumps`, and joins each
-    container, the document's final newline included, in one `join`."""
+    and float; each `_Slots` or `ScenarioSpec` becomes a `_MARK`, it and
+    the newline of its line appended to `deferred`.  The stdlib encodes
+    indented JSON in pure Python; this writer makes one call per container
+    and none per string or int, hands every other leaf to `json.dumps`, and
+    joins each container, the final newline included, in one `join`."""
     if not doc:
         return "{}\n"
     return _joined("{\n  ", _members(doc, "\n  ", deferred), ",\n  ", "\n}\n")
@@ -247,7 +260,7 @@ def _json_value(value, newline: str, deferred: Optional[list]) -> str:
         inner = newline + "  "
         return _joined("{" + inner, _members(value, inner, deferred), "," + inner,
                        newline + "}")
-    if type(value) is _Slots:
+    if type(value) is _Slots or type(value) is ScenarioSpec:
         deferred.append((value, newline))
         return _MARK
     if type(value) is int:
@@ -364,8 +377,7 @@ def _trace_text(scenario: ScenarioSpec, run) -> Iterator[str]:
 
 def _trace_json(scenario: ScenarioSpec, run) -> Iterator[str]:
     """The JSON `simulate` document."""
-    wires = _wires_json((wire, run.stored[wire], run.horizon) for wire in run.wire_order)
-    return _json_chunks({"meta": _meta(scenario), "wires": wires, "verdicts": [],
+    return _json_chunks({"meta": _meta(scenario), "wires": _wires_json(run), "verdicts": [],
                          "coverage": None})
 
 
@@ -468,9 +480,8 @@ def _identity_row(scenario: ScenarioSpec) -> dict:
     if result.warnings:
         detail += "; fairness warning: " + "; ".join(result.warnings)
     row["detail"] = detail
-    if result.status is IdentityStatus.FAIL and result.wires is not None:
-        horizon = result.scenario.horizon
-        row["wires"] = _wires_json((wire, slots, horizon) for wire, slots in result.wires.items())
+    if result.status is IdentityStatus.FAIL:
+        row["wires"] = scenario  # `_json_chunks` writes its run's wires
     return row
 
 

@@ -85,25 +85,20 @@ class PathCase(_Value):
 class Verdict(_Value):
     """Outcome of one case, or of one step of a path case.  A step verdict
     carries its index; steps after the first failing one are still
-    evaluated (from the actual trajectory, not the expected one) and carry
-    after_divergence=True so reports can de-emphasize them.  A transition
-    case or an OUTPUTS_ONLY path case has index None."""
+    evaluated, from the actual trajectory, not the expected one.  A
+    transition case or an OUTPUTS_ONLY path case has index None."""
 
-    __slots__ = ("case_id", "passed", "expected", "actual", "error", "index",
-                 "after_divergence")
+    __slots__ = ("case_id", "passed", "expected", "actual", "error", "index")
 
     def __init__(self, case_id: str, passed: bool, expected: Any = None, actual: Any = None,
-                 error: Optional[str] = None, index: Optional[int] = None,
-                 after_divergence: bool = False):
-        (set_case_id, set_passed, set_expected, set_actual, set_error, set_index,
-         set_after_divergence) = self._setters
+                 error: Optional[str] = None, index: Optional[int] = None):
+        set_case_id, set_passed, set_expected, set_actual, set_error, set_index = self._setters
         set_case_id(self, case_id)
         set_passed(self, passed)
         set_expected(self, expected)
         set_actual(self, actual)
         set_error(self, error)
         set_index(self, index)
-        set_after_divergence(self, after_divergence)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -144,16 +139,13 @@ def path_test(delta: Delta, case: PathCase) -> Tuple[Verdict, ...]:
         return (Verdict(case.id, error is None and actual == case.expectation,
                         expected=case.expectation, actual=actual, error=error),)
     verdicts: List[Verdict] = []
-    diverged = False
     for index, (step, expected) in enumerate(zip(steps, case.expectation)):
         actual = step if case.mode == FULL else step[0]
-        ok = actual == expected
-        verdicts.append(Verdict(case.id, ok, expected=expected, actual=actual, index=index,
-                                after_divergence=diverged))
-        diverged = diverged or not ok
+        verdicts.append(Verdict(case.id, actual == expected, expected=expected, actual=actual,
+                                index=index))
     if error is not None:
         verdicts.append(Verdict(case.id, False, expected=case.expectation[len(steps)],
-                                error=error, index=len(steps), after_divergence=diverged))
+                                error=error, index=len(steps)))
     return tuple(verdicts)
 
 
@@ -511,26 +503,23 @@ class IdentityResult(_Value):
     INCONCLUSIVE_HORIZON means the delivered sequence is a strict prefix of
     the sent one: nothing wrong was observed, the horizon was just too short
     to see every delivery.  Order, duplication, or alteration violations are
-    hard FAILs carrying the first divergent index.  Both keep the wire
-    traces as the run stored them: `wires` holds each wire's slots up to
-    the quiet tail, and every slot from there to the scenario's horizon is
-    empty.
+    hard FAILs carrying the first divergent index.  Both keep the checked
+    `run` for diagnosis; a PASS keeps none.
     """
 
-    __slots__ = ("scenario", "status", "expected", "actual", "divergence", "wires", "warnings")
+    __slots__ = ("scenario", "status", "expected", "actual", "divergence", "run", "warnings")
 
     def __init__(self, scenario: ScenarioSpec, status: IdentityStatus, expected: Tuple[Any, ...],
                  actual: Tuple[Any, ...], divergence: Optional[int] = None,
-                 wires: Optional[Dict[str, Tuple[tuple, ...]]] = None,
-                 warnings: Tuple[str, ...] = ()):
-        (set_scenario, set_status, set_expected, set_actual, set_divergence, set_wires,
+                 run: Optional[NetworkRun] = None, warnings: Tuple[str, ...] = ()):
+        (set_scenario, set_status, set_expected, set_actual, set_divergence, set_run,
          set_warnings) = self._setters
         set_scenario(self, scenario)
         set_status(self, status)
         set_expected(self, expected)
         set_actual(self, actual)
         set_divergence(self, divergence)
-        set_wires(self, wires)
+        set_run(self, run)
         set_warnings(self, warnings)
 
     @property
@@ -562,23 +551,21 @@ def run_scenario(scenario: ScenarioSpec) -> Tuple[NetworkRun, Tuple[str, ...]]:
 
 def check_identity(scenario: ScenarioSpec) -> IdentityResult:
     """Run the composed protocol on a scenario and compare untimed output
-    against untimed input."""
+    against untimed input; a result that does not pass keeps the run."""
     run, warnings = run_scenario(scenario)
     expected = scenario.payloads()
     actual = tuple(p for slot in run.stored["out"] for p in slot)
 
     if actual == expected:
-        status, divergence, wires = IdentityStatus.PASS, None, None
+        status, divergence, run = IdentityStatus.PASS, None, None
     elif len(actual) < len(expected) and actual == expected[: len(actual)]:
         status, divergence = IdentityStatus.INCONCLUSIVE_HORIZON, None
-        wires = {w: tuple(run.stored[w]) for w in run.wire_order}
     else:
         status = IdentityStatus.FAIL
         divergence = next(
             (i for i, (a, e) in enumerate(zip(actual, expected)) if a != e),
             min(len(actual), len(expected)),
         )
-        wires = {w: tuple(run.stored[w]) for w in run.wire_order}
 
     return IdentityResult(
         scenario=scenario,
@@ -586,6 +573,6 @@ def check_identity(scenario: ScenarioSpec) -> IdentityResult:
         expected=expected,
         actual=actual,
         divergence=divergence,
-        wires=wires,
+        run=run,
         warnings=warnings,
     )

@@ -290,7 +290,7 @@ def test_criterion_8_negative_control(acceptance_log, tmp_path):
         result = check_identity(bundled_scenario("mismatched_bits"))
         assert result.status is IdentityStatus.FAIL
         assert result.divergence == 0
-        assert result.wires is not None
+        assert result.run is not None
 
         out = tmp_path / "negative.txt"
         code = cli_run(["test", "--scenario", "mismatched_bits",

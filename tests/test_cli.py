@@ -20,6 +20,7 @@ from abpsim import (
     OUTPUTS_ONLY,
     STATES_ONLY,
     MsgO,
+    NetworkRun,
     PathCase,
     ScenarioSpec,
     SetTimer,
@@ -232,6 +233,87 @@ def test_test_fairness_warning_fails_a_passing_scenario(tmp_path, capsys):
     code, out, _ = run_cmd(capsys, "test", "--scenario", str(path), "--no-bundled")
     assert code == 1
     assert "fairness warning" in out
+
+
+def test_test_reports_a_model_error_as_a_failing_row(tmp_path, capsys):
+    # One explicit bit for two payloads: the data medium runs out of bits.
+    doc = {
+        "name": "short_oracle", "payload_slots": [[1], [2]], "horizon": 20,
+        "data_oracle": {"kind": "explicit", "bits": [True]},
+        "ack_oracle": {"kind": "cyclic", "bits": [True]},
+    }
+    path = tmp_path / "short_oracle.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cmd(capsys, "test", "--scenario", str(path), "--format", "json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["meta"]["passed"] == 18 and report["meta"]["failed"] == 1
+    *others, row = report["verdicts"]
+    assert row == {"kind": "identity", "machine": "abp", "id": "short_oracle", "status": "fail",
+                   "detail": "OracleExhausted: explicit oracle of 1 bits, bit 1 requested"}
+    assert len(others) == 18 and all(other["status"] == "pass" for other in others)
+
+
+def test_test_inconclusive_row_carries_the_fairness_warning(tmp_path, capsys):
+    # The one data bit drops the first send, and the horizon ends before a
+    # resend would ask for a second bit.
+    doc = {
+        "name": "all_drop", "payload_slots": [[1]], "horizon": 2,
+        "data_oracle": {"kind": "explicit", "bits": [False]},
+        "ack_oracle": {"kind": "cyclic", "bits": [True]},
+    }
+    path = tmp_path / "all_drop.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cmd(capsys, "test", "--scenario", str(path), "--no-bundled",
+                           "--format", "json")
+    assert code == 1
+    [row] = json.loads(out)["verdicts"]
+    assert row["status"] == "inconclusive-horizon"
+    assert row["detail"] == ("sent [1], delivered []; fairness warning: data oracle: explicit "
+                             "oracle contains no pass bits; nothing can ever be delivered")
+
+
+# Every payload but the first is delivered: 2,001 slots on each of six wires.
+_BIG_FAIL = ScenarioSpec.from_dict({**bundled_scenario("mismatched_bits").to_dict(),
+                                    "payload_slots": [[p % 10] for p in range(2000)],
+                                    "horizon": 20_000})
+
+
+def _traced(action):
+    """The bytes still held after `action()`, and the peak during it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        action()
+        gc.collect()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_fail_row_keeps_its_scenario_and_writes_the_wires_of_its_run():
+    rows = []
+    held, _ = _traced(lambda: rows.append(cli._identity_row(_BIG_FAIL)))
+    [row] = rows
+    assert row["status"] == "fail"
+    # The row's detail text takes 8 kB; the run's slot lists alone, 96 kB.
+    assert held < 50_000
+    # Its document holds the run's wires, run again as the row is written.
+    run, _ = run_scenario(_BIG_FAIL)
+    plain = [{"name": wire, "slots": [[format_value(p, strict=False) for p in slot]
+                                      for slot in run.slots[wire]]} for wire in run.wire_order]
+    doc = {"meta": {}, "verdicts": [row]}
+    expected = {"meta": {}, "verdicts": [{**row, "wires": plain}]}
+    assert _document(doc).split("\n") == _stdlib_lines(expected)
+
+
+def test_fail_rows_are_written_one_run_at_a_time():
+    row = cli._identity_row(_BIG_FAIL)
+    one, three = (_traced(lambda: cli._emit(cli._json_chunks({"verdicts": [row] * count}),
+                                            os.devnull))[1]
+                  for count in (1, 3))
+    # A run kept until the next one is made would take about 80% more.
+    assert three < 1.2 * one
 
 
 def test_test_runs_extra_table_files(tmp_path, capsys):
@@ -765,14 +847,16 @@ def _wire_text(slots, quiet=0) -> str:
     return "".join(cli._blocks(slots, cli._slot_text, " ", len(slots) + quiet))
 
 
-def _padded(wires):
-    # (name, slots, quiet) triples as `_wires_json` takes them.
-    return [(name, slots, len(slots) + quiet) for name, slots, quiet in wires]
+def _wires_json(wires):
+    # `_wires_json` of one run per (name, slots, quiet) triple: its one wire
+    # stores `slots`, followed by `quiet` empty slots.
+    return [wire for name, slots, quiet in wires
+            for wire in cli._wires_json(NetworkRun((name,), {name: slots}, len(slots) + quiet))]
 
 
 def test_wires_json_tells_equal_slots_of_different_types_apart():
     slots = [(True,), (1,), (True, 1), (1, 1), (1,), (True, 1), ((True, 1),), ((1, 1),)]
-    doc = {"wires": cli._wires_json(_padded([("a", slots, 0), ("b", slots[::-1], 0)]))}
+    doc = {"wires": _wires_json([("a", slots, 0), ("b", slots[::-1], 0)])}
     a, b = (wire["slots"] for wire in json.loads(_document(doc))["wires"])
     assert a == [["true"], ["1"], ["true", "1"], ["1", "1"], ["1"],
                  ["true", "1"], ["[true,1]"], ["[1,1]"]]
@@ -832,14 +916,14 @@ def test_wires_json_is_the_stdlib_encoding_of_its_literals(wires):
     literals = [[[format_value(p, strict=False) for p in slot] for slot in slots] + [[]] * quiet
                 for _, slots, quiet in wires]
     plain = [{"name": name, "slots": slots} for (name, _, _), slots in zip(wires, literals)]
-    doc = {"meta": {"tool": "abpsim"}, "wires": cli._wires_json(_padded(wires)), "verdicts": [],
+    doc = {"meta": {"tool": "abpsim"}, "wires": _wires_json(wires), "verdicts": [],
            "coverage": None}
     expected = {**doc, "wires": plain}
     # Compared as lists of lines and words, whose first difference pytest
     # reports at once; its diff of two long texts takes minutes.
     assert _document(doc).split("\n") == _stdlib_lines(expected)
     # A FAIL identity row of `test` embeds its wires three levels deeper.
-    row = {"kind": "identity", "status": "fail", "wires": cli._wires_json(_padded(wires))}
+    row = {"kind": "identity", "status": "fail", "wires": _wires_json(wires)}
     doc = {"meta": {}, "wires": [], "verdicts": [{"id": 1}, row], "coverage": None}
     expected = {**doc, "verdicts": [{"id": 1}, {**row, "wires": plain}]}
     assert _document(doc).split("\n") == _stdlib_lines(expected)

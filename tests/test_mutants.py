@@ -12,8 +12,10 @@ import json
 
 import pytest
 
-from abpsim import abp, cli, generate_scenario, golden, run_scenario
-from abpsim.runtime import DISABLED, FromB, MsgI, MsgO, SetTimer, TimeoutEvent, _timed
+from abpsim import abp, cli, generate_scenario, golden, run_scenario, testkit
+from abpsim.runtime import (DISABLED, FromB, MsgI, MsgO, SetTimer, TimeoutEvent, _timed,
+                            lift_timed, run_network)
+from conftest import _rewire
 
 
 def _timer(late=False, sticky=False):
@@ -114,7 +116,47 @@ def _always_accepting_receiver(expected, message):
     return (not expected), (bit,), (payload,)
 
 
-# Mutant -> the (module, name, replacement) patches that apply it.
+_medium_delta = abp.medium_delta
+
+
+def _duplicating_medium(state, payload):
+    """The medium with ``(payload, payload)`` in place of ``(payload,)``:
+    it passes each message twice."""
+    state, outputs = _medium_delta(state, payload)
+    return state, outputs * 2
+
+
+class _Placid:
+    """A state box equal to any other box: the inverse of conftest's
+    `Restless`."""
+
+    __slots__ = ("state",)
+    __hash__ = None
+
+    def __init__(self, state):
+        self.state = state
+
+    def __eq__(self, other):
+        return True
+
+
+def _placid(delta):
+    def step(box, item):
+        state, outputs = delta(box.state, item)
+        return _Placid(state), outputs
+
+    return step
+
+
+def _settling_run_network(net, external, slots):
+    """`run_network` settling without comparing states: it runs a copy of
+    `net` whose states are all boxed in a `_Placid`, so the first round
+    whose wires are empty from there on looks like a fixed point, even with
+    a timer armed."""
+    return run_network(_rewire(net, _Placid, _placid), external, slots)
+
+
+# Mutant -> the (module or dict, name, replacement) patches that apply it.
 MUTANTS = {
     "none": [],
     "late timer": [(abp, "attach_timer", _timer(late=True))],
@@ -127,6 +169,12 @@ MUTANTS = {
     "never-flipping receiver": [(abp, "receiver_delta", _never_flipping_receiver)],
     "newest payload resent": [(abp, "make_sender_delta", _newest_resending_sender),
                               (golden, "sender_delta", _newest_resending_sender())],
+    "duplicating medium": [
+        (abp, "medium_delta", _duplicating_medium),
+        (golden.MACHINES, "medium",
+         golden.MachineBinding(lift_timed(_duplicating_medium), golden.MEDIUM_CATALOG)),
+    ],
+    "settled without comparing states": [(testkit, "run_network", _settling_run_network)],
 }
 
 CHECKS = {
@@ -176,6 +224,17 @@ _NEWEST_RESENT_SEEDS = [
     3362806076, 3968920972, 4244845251, 1255092780, 261033612, 341363814, 3119071644,
     1661091608, 3702754306, 3356495489, 1208757114,
 ]
+# The 46 whose identity check fails when `run_network` settles without
+# comparing states: each needs a resend after a quiet round.
+_SETTLING_SEEDS = [
+    4161721069, 3155761739, 1776880500, 2184463183, 1074179421, 3697327382, 2830392143,
+    1240758652, 1611253881, 914289910, 3464020530, 3224393583, 3459228293, 3039852410,
+    571022459, 764746998, 2625263320, 1311376113, 2468976585, 2246225833, 3129565821,
+    2517013289, 3722841553, 3324919056, 2316970442, 3103209418, 31841879, 4138014150,
+    3771502798, 1013271168, 3292450183, 1427111678, 706720118, 1374543591, 3968920972,
+    4244845251, 1255092780, 1975471309, 341363814, 1537917898, 3283731809, 3119071644,
+    470307423, 1661091608, 2471832771, 3936366462,
+]
 _BIT_KEEPING_ROWS = ["transition sender/s4", "transition sender/s5",
                      "path sender/p_send_ack_states"]
 _NEVER_FLIPPING_ROWS = ["transition receiver/r1", "transition receiver/r3"]
@@ -189,7 +248,10 @@ def _identity_rows(seeds):
 # Mutant -> check -> (exit code, failing row ids as `test` prints them).
 # Both timer mutants survive: every check compares untimed histories and
 # the sender's table steps the delta without its timer.  The bit-keeping
-# sender is the one mutant that fails a path row.
+# sender is the one mutant that fails a path row.  The duplicating medium's
+# only kill is the golden row `medium/m1`: no identity check fails, since
+# the receiver's bit drops the second copy.  The settling engine fails
+# identity rows only: `coverage` runs no network.
 KILLS = {
     "none": dict.fromkeys(CHECKS, _PASSED),
     "late timer": dict.fromkeys(CHECKS, _PASSED),
@@ -215,6 +277,12 @@ KILLS = {
         "test --count 100": (1, _NEWEST_RESENT_ROWS + _identity_rows(_NEWEST_RESENT_SEEDS)),
         "coverage": (1, _NEWEST_RESENT_ROWS),
     },
+    "duplicating medium": dict.fromkeys(CHECKS, (1, ["transition medium/m1"])),
+    "settled without comparing states": {
+        "test": (1, ["identity abp/single_drop"]),
+        "test --count 100": (1, _identity_rows(_SETTLING_SEEDS)),
+        "coverage": _PASSED,
+    },
 }
 
 
@@ -224,8 +292,11 @@ SCENARIO = generate_scenario(3, (10, 10_000, 0.3))
 
 
 def _apply(monkeypatch, mutant):
-    for module, name, replacement in MUTANTS[mutant]:
-        monkeypatch.setattr(module, name, replacement)
+    for target, name, replacement in MUTANTS[mutant]:
+        if isinstance(target, dict):
+            monkeypatch.setitem(target, name, replacement)
+        else:
+            monkeypatch.setattr(target, name, replacement)
 
 
 def _check(argv):

@@ -92,9 +92,10 @@ def test_path_test_marks_steps_after_a_divergence():
     steps = path_test(stepper, case)
     assert isinstance(steps, tuple) and all(type(step) is Verdict for step in steps)
     first, second = steps
-    assert not first.passed and not first.after_divergence
-    # The second step is still evaluated, from the actual trajectory.
-    assert second.passed and second.after_divergence
+    assert not first.passed and first.index == 0
+    # The second step is still evaluated, from the actual trajectory; its
+    # index, past the first failing one, marks it as after the divergence.
+    assert second.passed and second.index == 1
     assert second.actual == 2
 
 
@@ -105,7 +106,9 @@ def test_path_test_outputs_mode_compares_the_concatenation():
     assert isinstance(verdicts, tuple) and len(verdicts) == 1
     (verdict,) = verdicts
     assert type(verdict) is Verdict and verdict.passed
-    assert verdict.index is None and not verdict.after_divergence
+    assert verdict == Verdict("outs", True, expected=("bumped", "bumped"),
+                              actual=("bumped", "bumped"))
+    assert verdict.index is None
 
 
 def test_path_test_stops_on_a_raising_delta():
@@ -405,7 +408,7 @@ def test_identity_passes_on_the_perfect_medium_scenario():
     result = check_identity(bundled_scenario("all_pass"))
     assert result.status is IdentityStatus.PASS
     assert bool(result)
-    assert result.wires is None and result.divergence is None
+    assert result.run is None and result.divergence is None
     assert result.warnings == ()
 
 
@@ -418,14 +421,15 @@ def test_identity_reports_a_too_short_horizon_as_inconclusive():
     assert not result.passed
     assert result.actual == () and result.expected == (1,)
     assert result.divergence is None
-    assert result.wires is not None  # traces kept for diagnosis
+    assert result.run == run_scenario(scenario)[0]  # the run kept for diagnosis
 
 
 def test_identity_fails_hard_on_divergence_with_traces():
     result = check_identity(bundled_scenario("mismatched_bits"))
     assert result.status is IdentityStatus.FAIL
     assert result.divergence == 0
-    assert set(result.wires) == {"input", "am", "ds", "dm", "as", "out"}
+    assert result.run.wire_order == ("input", "am", "ds", "dm", "as", "out")
+    assert result.run == run_scenario(bundled_scenario("mismatched_bits"))[0]
 
 
 def test_identity_carries_fairness_warnings():

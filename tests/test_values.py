@@ -51,11 +51,9 @@ REPRS = [
     (CURSOR, "OracleCursor(spec=OracleSpec(kind='cyclic', bits=(True,), "
              "pass_probability=1.0, seed=0), position=2)"),
     (Verdict("c", True),
-     "Verdict(case_id='c', passed=True, expected=None, actual=None, error=None, index=None, "
-     "after_divergence=False)"),
+     "Verdict(case_id='c', passed=True, expected=None, actual=None, error=None, index=None)"),
     (Verdict("c", False, error="E", index=1),
-     "Verdict(case_id='c', passed=False, expected=None, actual=None, error='E', index=1, "
-     "after_divergence=False)"),
+     "Verdict(case_id='c', passed=False, expected=None, actual=None, error='E', index=1)"),
     (TransitionCase("t", (True, ()), 3, (True, (3,)), [SetTimer(3)]),
      "TransitionCase(id='t', start_state=(True, ()), input=3, expected_state=(True, (3,)), "
      "expected_outputs=(SetTimer(slots=3),))"),
@@ -74,7 +72,7 @@ REPRS = [
      "timeout=3, sender_bit=True, receiver_bit=True, seed=3)"),
     (IdentityResult(SCENARIO, IdentityStatus.PASS, (1,), (1,)),
      f"IdentityResult(scenario={SCENARIO!r}, status=<IdentityStatus.PASS: 'pass'>, "
-     "expected=(1,), actual=(1,), divergence=None, wires=None, warnings=())"),
+     "expected=(1,), actual=(1,), divergence=None, run=None, warnings=())"),
     (TableCase("sender", TransitionCase("t", 0, 1, 2, ())),
      "TableCase(machine='sender', case=TransitionCase(id='t', start_state=0, input=1, "
      "expected_state=2, expected_outputs=()), note='')"),
@@ -106,8 +104,7 @@ EQUAL_PAIRS = [
     (Msg(3), Msg(3)),
     (CURSOR, OracleCursor(OracleSpec(kind="cyclic", bits=(True,)), position=2)),
     (Verdict("c", True), Verdict(case_id="c", passed=True, expected=None)),
-    (Verdict("c", True, index=0), Verdict(case_id="c", passed=True, expected=None, index=0,
-                                          after_divergence=False)),
+    (Verdict("c", True, index=0), Verdict(case_id="c", passed=True, expected=None, index=0)),
     (TransitionCase("t", 0, 1, 2, [3]), TransitionCase("t", 0, 1, 2, (3,))),
     (PathCase("p", True, [1], STATES_ONLY, [False]),
      PathCase("p", True, (1,), STATES_ONLY, (False,))),
@@ -239,14 +236,14 @@ EXAMPLES.update({type(value): value for value in [
     CatalogEntry("e", "a", "b", callable, len),
     ScenarioSpec("s", [[1, 2]], 5, OracleSpec.explicit([True]), OracleSpec.bernoulli(0.5, 7),
                  timeout=4, sender_bit=False, receiver_bit=True, seed=3),
-    IdentityResult(SCENARIO, IdentityStatus.FAIL, (1,), (2,), 0, {"a": ()}, ("w",)),
+    IdentityResult(SCENARIO, IdentityStatus.FAIL, (1,), (2,), 0,
+                   NetworkRun(("a",), {"a": [()]}, 5), ("w",)),
     CoverageAccumulator(Counter("t"), Counter("c")),
     MachineBinding(len, SENDER_CATALOG),
     _Component("c", 0, len, ("a",), ("b",)),
 ]})
-# Every example, and a step verdict: a `Verdict` whose index and
-# after_divergence are set too.
-VALUES = [*EXAMPLES.values(), Verdict("c", False, 1, 2, "E", 3, True)]
+# Every example, and a step verdict: a `Verdict` whose index is set too.
+VALUES = [*EXAMPLES.values(), Verdict("c", False, 1, 2, "E", 3)]
 
 
 def test_every_value_class_has_an_example():
