@@ -418,11 +418,11 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
     Each external wire is read once, up front: at most `slots` slots of its
     stream go straight into its history.  Each round, the first included,
     then steps every component once (its `_round_step`), in topological
-    order of the initializer-broken wiring graph (but see quiet rounds
-    below).  Initializers pre-fill whole slots at the head of their wires
-    (see `NetworkSpec.initialize`).  A reader in round i always finds slot
-    i of its wire: external wires are read first, an undelayed wire's
-    producer steps before its readers, and a delayed wire starts a
+    order of the initializer-broken wiring graph, until the network
+    settles (see below).  Initializers pre-fill whole slots at the head of
+    their wires (see `NetworkSpec.initialize`).  A reader in round i always
+    finds slot i of its wire: external wires are read first, an undelayed
+    wire's producer steps before its readers, and a delayed wire starts a
     pre-filled slot ahead.  So the only deadlock is a failed schedule,
     raised as DeadlockDetected before any delta is called.
 
@@ -433,21 +433,19 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
     that fails in an earlier round still wins, and in one round the first
     wire in feed order wins.
 
-    Quiet rounds are jumped over.  Once a round leaves every component
-    state equal (``==``) to its state before the round, and every wire is
-    empty from that slot on (slots initializers filled ahead included, fed
-    slots of later rounds not), the network is at a fixed point: no delta
-    is called and no produced wire is touched until the next round with a
-    non-empty fed slot.  The run jumps straight there, each produced wire
-    gets the empty slots of the quiet stretch at once, and stepping
-    resumes.  Without such a slot before the end, the run stops: every wire
-    is empty from that round on, so every wire is cut there, to one common
-    length, and the rest of the horizon is stored as its length alone.  An
-    input error read up front is raised even when the network stops before
-    its round.  This relies on the contract of every delta: it is pure, and
-    states that compare equal behave alike.  A state that never compares
-    equal to its predecessor just disables the shortcut; the histories are
-    the same either way.
+    A settled network stops.  Once a round after the last one fed a
+    non-empty slot leaves every component state equal (``==``) to its state
+    before the round, and every wire is empty from that slot on (the slots
+    initializers filled ahead included, so a fed slot that an initializer
+    delays still counts), the network is at a fixed point: no later round
+    would call a delta or touch a wire.  So the run stops there, every wire
+    is cut there, to one common length, and the rest of the horizon is
+    stored as its length alone.  Every earlier round is stepped, quiet or
+    not.  An input error read up front is raised even when the network
+    stops before its round.  This relies on the contract of every delta: it
+    is pure, and states that compare equal behave alike.  A state that
+    never compares equal to its predecessor just keeps the run going to the
+    horizon; the histories are the same either way.
     """
     if slots < 0:
         raise ValueError(f"slot count must be >= 0, got {slots}")
@@ -467,9 +465,9 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
     # those its initializer fills ahead.
     ahead = [(history[w], len(history[w]) + 1) for w in spec.wire_order]
 
-    # `stop` is the round of the first input error, `slots` without one.
-    stop, failure = slots, None
-    fed = []
+    # `stop` is the round of the first input error, `slots` without one, and
+    # `last` the last round fed a non-empty slot, -1 without one.
+    stop, failure, last = slots, None, -1
     for wire, stream in external.items():
         wire_history = history[wire]
         start = len(wire_history)
@@ -490,28 +488,18 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
             error = ModelError(f"external input ended after {read} slots, {slots} requested")
         if error is not None and read < stop:
             stop, failure = read, error
-        # Without an initializer or a bad slot, the fed slots are the whole
-        # list, which is scanned faster as it is than through `islice`.  A
-        # bad slot is never truth-tested.
-        fed.append(wire_history if read == len(wire_history)
-                   else islice(wire_history, start, start + read))
-    # The rounds with a non-empty fed slot, up to `stop` at least, found as
-    # the run goes: the only ones a settled network must wake for.  With
-    # none left before `stop`, it stops.  A lone wire is scanned as it is:
-    # through `zip` and `any` its scan costs about three times as much.
-    wakes = compress(count(), fed[0] if len(fed) == 1 else map(any, zip(*fed)))
-    wake = next(wakes, slots)  # the first such round at or after `index`
+        # The good fed slots, last first: a bad slot is never truth-tested.
+        bad = len(wire_history) - start - read
+        good = islice(reversed(wire_history), bad, bad + read)
+        last = max(last, next(compress(count(read - 1, -1), good), -1))
 
     plan = [_round_step(comp, history) for comp in order]
-    produced = [history[wire] for comp in order for wire in comp.outputs]
     states = [comp.start for comp in order]
     index = 0
     while index < stop:
-        # A non-empty fed slot rules out settling this round, so then no
-        # state needs comparing.
-        unchanged = index != wake
-        if not unchanged:
-            wake = next(wakes, slots)
+        # Up to round `last`, the payload fed in that round is still to
+        # come, so no round settles and no state needs comparing.
+        unchanged = index > last
         for position, advance in enumerate(plan):
             state = states[position]
             states[position] = new = advance(state, index)
@@ -519,16 +507,8 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
                 unchanged = new == state
         if unchanged and not any(any(wire_history[index:index + reach])
                                  for wire_history, reach in ahead):
-            # Settled: rounds index + 1 to wake - 1 would step nothing, and
-            # without a wake before `stop` every wire is empty from slot
-            # index on.
-            if wake >= stop:
-                break
-            for wire_history in produced:
-                wire_history.extend(repeat((), wake - index - 1))
-            index = wake
-        else:
-            index += 1
+            break  # settled: every later round would step nothing
+        index += 1
 
     if failure is not None:
         raise failure

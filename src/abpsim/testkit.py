@@ -221,13 +221,11 @@ class TransitionCatalog:
 
 
 class CoverageReport(_Value):
-    __slots__ = ("machine", "covered", "uncovered", "class_coverage", "unclassified")
+    __slots__ = ("covered", "uncovered", "class_coverage", "unclassified")
 
-    def __init__(self, machine: str, covered: frozenset, uncovered: frozenset,
-                 class_coverage: Dict[str, int], unclassified: int):
-        (set_machine, set_covered, set_uncovered, set_class_coverage,
-         set_unclassified) = self._setters
-        set_machine(self, machine)
+    def __init__(self, covered: frozenset, uncovered: frozenset, class_coverage: Dict[str, int],
+                 unclassified: int):
+        set_covered, set_uncovered, set_class_coverage, set_unclassified = self._setters
         set_covered(self, covered)
         set_uncovered(self, uncovered)
         set_class_coverage(self, class_coverage)
@@ -254,7 +252,6 @@ class CoverageAccumulator(_Value):
         ids = catalog.ids()
         covered = frozenset(tid for tid in ids if self.transitions[tid] > 0)
         return CoverageReport(
-            machine=catalog.machine,
             covered=covered,
             uncovered=ids - covered,
             class_coverage={cid: self.classes[cid] for cid in catalog.classes},
@@ -507,27 +504,18 @@ class IdentityResult(_Value):
     `run` for diagnosis; a PASS keeps none.
     """
 
-    __slots__ = ("scenario", "status", "expected", "actual", "divergence", "run", "warnings")
+    __slots__ = ("status", "expected", "actual", "divergence", "run", "warnings")
 
-    def __init__(self, scenario: ScenarioSpec, status: IdentityStatus, expected: Tuple[Any, ...],
-                 actual: Tuple[Any, ...], divergence: Optional[int] = None,
-                 run: Optional[NetworkRun] = None, warnings: Tuple[str, ...] = ()):
-        (set_scenario, set_status, set_expected, set_actual, set_divergence, set_run,
-         set_warnings) = self._setters
-        set_scenario(self, scenario)
+    def __init__(self, status: IdentityStatus, expected: Tuple[Any, ...], actual: Tuple[Any, ...],
+                 divergence: Optional[int] = None, run: Optional[NetworkRun] = None,
+                 warnings: Tuple[str, ...] = ()):
+        set_status, set_expected, set_actual, set_divergence, set_run, set_warnings = self._setters
         set_status(self, status)
         set_expected(self, expected)
         set_actual(self, actual)
         set_divergence(self, divergence)
         set_run(self, run)
         set_warnings(self, warnings)
-
-    @property
-    def passed(self) -> bool:
-        return self.status is IdentityStatus.PASS
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def run_scenario(scenario: ScenarioSpec) -> Tuple[NetworkRun, Tuple[str, ...]]:
@@ -568,7 +556,6 @@ def check_identity(scenario: ScenarioSpec) -> IdentityResult:
         )
 
     return IdentityResult(
-        scenario=scenario,
         status=status,
         expected=expected,
         actual=actual,

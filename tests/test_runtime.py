@@ -667,7 +667,7 @@ def test_input_errors_come_out_by_round_then_feed_order(reference_run, fed_a, fe
             evaluate(net, {"a": _fed_stream(fed_a), "b": _fed_stream(fed_b)}, 3)
 
 
-# ------------------------------------------- quiet stretches padded at once
+# ------------------------------------------- quiet stretches stepped, tails cut
 
 
 def _bouncing(ticks, initializer):
@@ -707,17 +707,19 @@ LATE = [(2,)] + [()] * 10 + [(3,)]
     # Settles in its very last round: nothing is skipped.
     (ONE_TICK, [(2,)], 4, 4),
     (MESSAGE_AND_TWO_TICKS, [(2,)], 6, 6),
-    # Settles, resumes on a late input, and settles again.
-    (ONE_TICK, LATE, 30, 9),
-    (MESSAGE_AND_TWO_TICKS, LATE, 30, 14),
-    # Resumes in the last slot, after a quiet stretch.
-    (ONE_TICK, [(1,)] + [()] * 8 + [(1,)], 10, 4),
+    # Falls quiet, steps through the quiet stretch to the late input in
+    # slot 11, and settles after slot 15 (slot 18 with the longer
+    # initializer).
+    (ONE_TICK, LATE, 30, 16),
+    (MESSAGE_AND_TWO_TICKS, LATE, 30, 19),
+    # Steps through a quiet stretch to a late input in the last slot.
+    (ONE_TICK, [(1,)] + [()] * 8 + [(1,)], 10, 10),
     (ONE_TICK, [(2,)], 1, 1),
     (MESSAGE_AND_TWO_TICKS, [(2,)], 1, 1),
     (ONE_TICK, [(2,)], 0, 0),
     (MESSAGE_AND_TWO_TICKS, [(2,)], 0, 0),
-    # Read up front and jumped over, a long quiet tail steps no more rounds.
-    (ONE_TICK, LATE, 100_000, 9),
+    # Read up front and cut, a long quiet tail steps no more rounds.
+    (ONE_TICK, LATE, 100_000, 16),
 ])
 def test_quiet_stretches_are_padded_to_the_reference_histories(reference_run, initializer, fed,
                                                                slots, stepped):
@@ -745,6 +747,21 @@ def test_an_input_error_after_the_network_settled_still_raises(reference_run, ba
     with pytest.raises(error) as expected:
         reference_run(_bouncing([], ONE_TICK), {"a": _fed_stream(fed)}, 30)
     assert str(raised.value) == str(expected.value)
+
+
+def test_an_initialized_external_wire_reads_its_last_fed_payload_late(reference_run):
+    # `a`'s three-slot initializer delays its reader: fed slot k is read in
+    # round 3 + k, so the payload fed in slot 7, the last round fed a
+    # non-empty slot, reaches `b` in slot 10.  Rounds 8 and 9 are quiet and
+    # come after that last round, so only the settle check's reach into the
+    # initializer's slots keeps the run from stopping there.
+    net = NetworkSpec()
+    net.add_machine("fwd", None, lift_timed(echo), inputs=["a"], outputs=["b"])
+    net.initialize("a", [Tick, Tick, Tick])
+    fed = [(1,)] + [()] * 6 + [(2,)] + [()] * 22
+    run = run_network(net, {"a": inject_ticks(fed)}, 30)
+    assert run.slots == reference_run(net, {"a": inject_ticks(fed)}, 30)
+    assert run.slots["b"][10] == (2,)
 
 
 def test_a_stopped_run_stores_one_common_prefix_and_pads_its_view():

@@ -62,17 +62,17 @@ REPRS = [
     (CatalogEntry("e", "a", "b", callable),
      "CatalogEntry(id='e', source='a', target='b', input_pattern=<built-in function callable>, "
      "guard=None)"),
-    (CoverageReport("m", frozenset(), frozenset({"x"}), {"a": 1}, 0),
-     "CoverageReport(machine='m', covered=frozenset(), uncovered=frozenset({'x'}), "
-     "class_coverage={'a': 1}, unclassified=0)"),
+    (CoverageReport(frozenset(), frozenset({"x"}), {"a": 1}, 0),
+     "CoverageReport(covered=frozenset(), uncovered=frozenset({'x'}), class_coverage={'a': 1}, "
+     "unclassified=0)"),
     (SCENARIO,
      "ScenarioSpec(name='s', payload_slots=((1, 2),), horizon=5, "
      "data_oracle=OracleSpec(kind='explicit', bits=(True,), pass_probability=1.0, seed=0), "
      "ack_oracle=OracleSpec(kind='bernoulli', bits=(), pass_probability=0.5, seed=7), "
      "timeout=3, sender_bit=True, receiver_bit=True, seed=3)"),
-    (IdentityResult(SCENARIO, IdentityStatus.PASS, (1,), (1,)),
-     f"IdentityResult(scenario={SCENARIO!r}, status=<IdentityStatus.PASS: 'pass'>, "
-     "expected=(1,), actual=(1,), divergence=None, run=None, warnings=())"),
+    (IdentityResult(IdentityStatus.PASS, (1,), (1,)),
+     "IdentityResult(status=<IdentityStatus.PASS: 'pass'>, expected=(1,), actual=(1,), "
+     "divergence=None, run=None, warnings=())"),
     (TableCase("sender", TransitionCase("t", 0, 1, 2, ())),
      "TableCase(machine='sender', case=TransitionCase(id='t', start_state=0, input=1, "
      "expected_state=2, expected_outputs=()), note='')"),
@@ -236,8 +236,8 @@ EXAMPLES.update({type(value): value for value in [
     CatalogEntry("e", "a", "b", callable, len),
     ScenarioSpec("s", [[1, 2]], 5, OracleSpec.explicit([True]), OracleSpec.bernoulli(0.5, 7),
                  timeout=4, sender_bit=False, receiver_bit=True, seed=3),
-    IdentityResult(SCENARIO, IdentityStatus.FAIL, (1,), (2,), 0,
-                   NetworkRun(("a",), {"a": [()]}, 5), ("w",)),
+    IdentityResult(IdentityStatus.FAIL, (1,), (2,), 0, NetworkRun(("a",), {"a": [()]}, 5),
+                   ("w",)),
     CoverageAccumulator(Counter("t"), Counter("c")),
     MachineBinding(len, SENDER_CATALOG),
     _Component("c", 0, len, ("a",), ("b",)),
