@@ -416,22 +416,25 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
     ValueError.
 
     Each external wire is read once, up front: at most `slots` slots of its
-    stream go straight into its history.  Each round, the first included,
-    then steps every component once (its `_round_step`), in topological
-    order of the initializer-broken wiring graph, until the network
-    settles (see below).  Initializers pre-fill whole slots at the head of
-    their wires (see `NetworkSpec.initialize`).  A reader in round i always
-    finds slot i of its wire: external wires are read first, an undelayed
-    wire's producer steps before its readers, and a delayed wire starts a
-    pre-filled slot ahead.  So the only deadlock is a failed schedule,
-    raised as DeadlockDetected before any delta is called.
+    stream's `produced()` part go straight into its history.  If they are
+    good but fewer, as many empty slots of the stream's idle tail as the
+    history still needs are filled in without being read.  Each round, the
+    first included, then steps every component once (its `_round_step`), in
+    topological order of the initializer-broken wiring graph, until the
+    network settles (see below).  Initializers pre-fill whole slots at the
+    head of their wires (see `NetworkSpec.initialize`).  A reader in round
+    i always finds slot i of its wire: external wires are read first, an
+    undelayed wire's producer steps before its readers, and a delayed wire
+    starts a pre-filled slot ahead.  So the only deadlock is a failed
+    schedule, raised as DeadlockDetected before any delta is called.
 
     An input error is raised in its own round, before that round steps any
     component, as if each wire were fed one slot per round: a stream that
     ends early or yields a slot that is not a tuple raises ModelError, and
     an exception from the stream's own iterator propagates.  So a delta
     that fails in an earlier round still wins, and in one round the first
-    wire in feed order wins.
+    wire in feed order wins.  A stream ends early only when its idle tail
+    runs out too.
 
     A settled network stops.  Once a round after the last one fed a
     non-empty slot leaves every component state equal (``==``) to its state
@@ -471,7 +474,7 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
     for wire, stream in external.items():
         wire_history = history[wire]
         start = len(wire_history)
-        feed, error = islice(stream.slots(), slots), None
+        feed, error = islice(stream.produced(), slots), None
         try:
             wire_history.extend(feed)
         except Exception as exc:  # the stream's own, raised in its round below
@@ -484,14 +487,19 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
                               if not isinstance(slot, tuple))
             error = ModelError(f"external wire {wire!r} was fed a {type(slot).__name__} "
                                f"in slot {read}, not a tuple of payloads")
-        elif error is None and read < slots:
-            error = ModelError(f"external input ended after {read} slots, {slots} requested")
-        if error is not None and read < stop:
-            stop, failure = read, error
         # The good fed slots, last first: a bad slot is never truth-tested.
         bad = len(wire_history) - start - read
         good = islice(reversed(wire_history), bad, bad + read)
         last = max(last, next(compress(count(read - 1, -1), good), -1))
+        if error is None and read < slots:
+            # Good but short: the idle tail is filled, not read.
+            idle = slots - read if stream.idle is None else min(stream.idle, slots - read)
+            wire_history.extend(repeat((), idle))
+            read += idle
+            if read < slots:
+                error = ModelError(f"external input ended after {read} slots, {slots} requested")
+        if error is not None and read < stop:
+            stop, failure = read, error
 
     plan = [_round_step(comp, history) for comp in order]
     states = [comp.start for comp in order]

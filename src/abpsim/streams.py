@@ -3,13 +3,15 @@
 A channel history is a sequence of messages interleaved with clock ticks.
 The run of messages strictly before a tick forms one *time slot*; the tick
 closes the slot.  A stream stores its slots: a restartable producer of
-payload tuples, one per slot, so every stream is tick-closed by
-construction.  ``slots()`` is the view the runtime reads, and ``items()``
-is the paper's view derived from it: each slot's payloads as ``Msg``, then
-one ``Tick``.  Conceptually these histories are infinite (the clock never
+payload tuples, one per slot, then a count of empty slots, its idle tail,
+so every stream is tick-closed by construction.  ``slots()`` is the whole
+view, and ``items()`` is the paper's view derived from it: each slot's
+payloads as ``Msg``, then one ``Tick``.  ``produced()`` is the producer's
+part alone: the runtime reads that part and fills the idle tail without
+reading it.  Conceptually these histories are infinite (the clock never
 stops), so every assertion is made over a bounded observation, such as the
-first `k` slots.  A stream is as long as its producer runs: a finite one
-simply stops, and nothing else records its length.
+first `k` slots.  A stream is as long as its producer runs plus its idle
+tail: a finite one simply stops.
 
 Two observations of the same stream see the same slots, i.e. ``take_slots``
 is pure.  A raw iterator obtained from a stream is single-consumer; share
@@ -121,22 +123,40 @@ class Msg(_Value):
 
 
 class TimedStream:
-    """A restartable producer of time slots.
+    """A restartable producer of time slots, then `idle` empty slots.
 
     ``source`` is a zero-argument callable returning a fresh iterable of
     payload tuples, one per slot; each observation restarts production from
-    the beginning.  The producer alone fixes the stream's length: a finite
-    one is the desk-scale stand-in for "infinitely many ticks".
+    the beginning.  After the produced slots come `idle` empty ones, without
+    end when `idle` is None, so a stream's long quiet tail is a length, not
+    something its producer yields.  The producer and `idle` alone fix the
+    stream's length: a finite one is the desk-scale stand-in for
+    "infinitely many ticks".
     """
 
-    __slots__ = ("_source",)
+    __slots__ = ("_source", "_idle")
 
-    def __init__(self, source: Callable[[], Iterable[tuple]]):
+    def __init__(self, source: Callable[[], Iterable[tuple]], idle: Optional[int] = 0):
+        if idle is not None and not (isinstance(idle, int) and idle >= 0):
+            raise ValueError(f"idle must be a non-negative integer or None, got {idle!r}")
         self._source = source
+        self._idle = idle
+
+    @property
+    def idle(self) -> Optional[int]:
+        """The number of empty slots after the produced ones; None for no end."""
+        return self._idle
+
+    def produced(self) -> Iterator[tuple]:
+        """A fresh single-use iterator over the slots the producer yields,
+        without the idle tail."""
+        return iter(self._source())
 
     def slots(self) -> Iterator[tuple]:
-        """A fresh single-use iterator over the stream's payload tuples."""
-        return iter(self._source())
+        """A fresh single-use iterator over the stream's payload tuples: the
+        produced slots, then the idle tail."""
+        tail = itertools.repeat(()) if self._idle is None else itertools.repeat((), self._idle)
+        return itertools.chain(self.produced(), tail)
 
     def items(self) -> Iterator[Any]:
         """A fresh single-use iterator over the stream's Msg/Tick items."""
@@ -162,7 +182,6 @@ def take_slots(s: TimedStream, k: int) -> tuple:
 
 
 def all_ticks(horizon: Optional[int] = None) -> TimedStream:
-    """A stream of empty slots; unbounded when no horizon is given."""
-    if horizon is None:
-        return TimedStream(lambda: itertools.repeat(()))
-    return TimedStream(lambda: itertools.repeat((), horizon))
+    """A stream of empty slots, `horizon` of them, unbounded when no horizon
+    is given: all of it is the idle tail, and its producer yields nothing."""
+    return TimedStream(tuple, horizon)

@@ -18,7 +18,6 @@ folded into failing verdicts so a suite always runs to completion.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import random
@@ -335,10 +334,9 @@ class ScenarioSpec(_Value):
         return tuple(p for slot in self.payload_slots for p in slot)
 
     def input_stream(self) -> TimedStream:
-        """The input wire: the payload slots, then empty slots up to the
-        horizon."""
-        idle = self.horizon - len(self.payload_slots)
-        return TimedStream(lambda: itertools.chain(self.payload_slots, itertools.repeat((), idle)))
+        """The input wire: the payload slots, then an idle tail of empty
+        slots up to the horizon."""
+        return TimedStream(lambda: self.payload_slots, self.horizon - len(self.payload_slots))
 
     def to_dict(self) -> dict:
         data = {

@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from abpsim import abp, cli, generate_scenario, golden, run_scenario, testkit
+from abpsim import (CatalogEntry, TransitionCatalog, abp, cli, generate_scenario, golden,
+                    run_scenario, testkit)
 from abpsim.runtime import (DISABLED, FromB, MsgI, MsgO, SetTimer, TimeoutEvent, _timed,
                             lift_timed, run_network)
 from conftest import _rewire
@@ -148,6 +149,16 @@ def _placid(delta):
     return step
 
 
+def _lying_sender_catalog():
+    """The sender's catalog with `t_ack_final`'s target `nonempty_buffer`,
+    not `empty_buffer`: it declares that the ack of the last buffered
+    payload leaves the buffer non-empty."""
+    catalog = golden.SENDER_CATALOG
+    entries = [CatalogEntry(e.id, e.source, "nonempty_buffer", e.input_pattern, e.guard)
+               if e.id == "t_ack_final" else e for e in catalog.entries]
+    return TransitionCatalog(catalog.machine, catalog.classes, entries)
+
+
 def _settling_run_network(net, external, slots):
     """`run_network` settling without comparing states: it runs a copy of
     `net` whose states are all boxed in a `_Placid`, so the first round
@@ -175,6 +186,10 @@ MUTANTS = {
          golden.MachineBinding(lift_timed(_duplicating_medium), golden.MEDIUM_CATALOG)),
     ],
     "settled without comparing states": [(testkit, "run_network", _settling_run_network)],
+    "t_ack_final targets nonempty_buffer": [
+        (golden.MACHINES, "sender",
+         golden.MachineBinding(golden.MACHINES["sender"].delta, _lying_sender_catalog())),
+    ],
 }
 
 CHECKS = {
@@ -252,7 +267,8 @@ def _identity_rows(seeds):
 # sender is the one mutant that fails a path row.  The duplicating medium's
 # only kill is the golden row `medium/m1`: no identity check fails, since
 # the receiver's bit drops the second copy.  The settling engine fails
-# identity rows only: `coverage` runs no network.
+# identity rows only: `coverage` runs no network.  The lying catalog
+# survives: no check reads a `CatalogEntry.target`.
 KILLS = {
     "none": dict.fromkeys(CHECKS, _PASSED),
     "late timer": dict.fromkeys(CHECKS, _PASSED),
@@ -284,6 +300,7 @@ KILLS = {
         "test --count 100": (1, _identity_rows(_SETTLING_SEEDS)),
         "coverage": _PASSED,
     },
+    "t_ack_final targets nonempty_buffer": dict.fromkeys(CHECKS, _PASSED),
 }
 
 
@@ -334,3 +351,13 @@ def test_surviving_timer_mutants_change_the_timed_run(mutant, monkeypatch):
     assert run.slots["out"] != real.slots["out"]
     assert [p for slot in run.slots["out"] for p in slot] == \
         [p for slot in real.slots["out"] for p in slot]
+
+
+def test_the_lying_catalog_declares_a_target_its_step_misses(step_entry):
+    # Not an equivalent mutant: the ack of the last buffered payload
+    # empties the buffer, which a check of declared targets would see.
+    catalog, delta = _lying_sender_catalog(), golden.MACHINES["sender"].delta
+    assert step_entry(catalog, delta, (True, (5,)), True) == "t_ack_final"
+    [entry] = [entry for entry in catalog.entries if entry.id == "t_ack_final"]
+    state, _ = delta((True, (5,)), True)
+    assert (entry.target, catalog.class_of(state)) == ("nonempty_buffer", "empty_buffer")

@@ -487,15 +487,16 @@ def _idle_gapped_slots(draw, length):
     return slots
 
 
-def _fed_stream(slots):
-    # The slots as they stand, lists included; a FAULT raises KeyError.
+def _fed_stream(slots, idle=0):
+    # The slots as they stand, lists included, then `idle` empty ones; a
+    # FAULT raises KeyError.
     def source():
         for index, slot in enumerate(slots):
             if slot == FAULT:
                 raise KeyError(f"stream fault in slot {index}")
             yield slot
 
-    return TimedStream(source)
+    return TimedStream(source, idle)
 
 
 def _slot_by_slot(step, start, slots):
@@ -579,11 +580,11 @@ def _wire_histories(net, external, slots):
     return run_network(net, external, slots).slots
 
 
-def _outcome(evaluate, net, external, slots):
+def _outcome(evaluate, net, streams, slots):
     # Every wire history `evaluate` records, or the type and message of the
     # error it raises.
     try:
-        return evaluate(net, {w: _fed_stream(s) for w, s in external.items()}, slots)
+        return evaluate(net, streams, slots)
     except Exception as exc:  # the differential compares errors too
         return type(exc).__name__, str(exc)
 
@@ -593,9 +594,10 @@ def _outcome(evaluate, net, external, slots):
 def test_fast_forward_matches_full_stepping_on_random_networks(full_stepping, reference_run,
                                                                 network):
     net, external, slots = network
-    fast = _outcome(_wire_histories, net, external, slots)
-    assert fast == _outcome(_wire_histories, full_stepping(net), external, slots)
-    assert fast == _outcome(reference_run, net, external, slots)
+    streams = {w: _fed_stream(s) for w, s in external.items()}
+    fast = _outcome(_wire_histories, net, streams, slots)
+    assert fast == _outcome(_wire_histories, full_stepping(net), streams, slots)
+    assert fast == _outcome(reference_run, net, streams, slots)
 
 
 def test_fast_forward_still_fires_a_long_armed_timer(full_stepping):
@@ -772,6 +774,80 @@ def test_a_stopped_run_stores_one_common_prefix_and_pads_its_view():
     assert run.stored == {"a": [(2,), (), ()], "back": [(), (2,), (1,)],
                           "mid": [(2,), (1,), ()], "out": [(2,), (1,), ()]}
     assert run.slots == {wire: stored + [()] * 37 for wire, stored in run.stored.items()}
+
+
+# ----------------------------------------------- idle tails filled, not read
+
+
+def _fussy_counter(seen):
+    # Counts payloads, forwards each, and fails on a 4; `seen` records every
+    # payload it is called with, so it shows which rounds ran before an error.
+    def delta(count, p):
+        seen.append(p)
+        if p == 4:
+            raise ModelError("fussy about 4")
+        return count + 1, (p,)
+
+    net = NetworkSpec()
+    net.add_machine("count", 0, lift_timed(delta), inputs=["a"], outputs=["b"])
+    return net
+
+
+@st.composite
+def tailed_streams(draw):
+    # A produced part of up to 25 slots, one in four with a list slot and
+    # one in four with a FAULT, then an idle tail that is empty, short of
+    # the slot count, exactly long enough, longer, or endless.
+    slots = draw(st.integers(0, 60))
+    produced = _idle_gapped_slots(draw, draw(st.integers(0, 25)))
+    need = max(slots - len(produced), 0)
+    idle = draw(st.one_of(st.just(0), st.integers(0, max(need - 1, 0)), st.just(need),
+                          st.integers(need + 1, need + 100), st.none()))
+    initializer = draw(st.sampled_from([None, [Tick], [Msg(1), Tick, Tick]]))
+    return produced, idle, initializer, slots
+
+
+@settings(max_examples=300, deadline=None)
+@given(tailed_streams())
+def test_a_filled_idle_tail_matches_the_tail_read_slot_by_slot(reference_run, drawn):
+    produced, idle, initializer, slots = drawn
+    tailed = _fed_stream(produced, idle)
+    # The same slots with the tail produced: `slots` empty ones stand in
+    # for an endless tail, as no run reads more.
+    read = _fed_stream(produced + [()] * (slots if idle is None else idle))
+    outcomes = []
+    for evaluate, stream in [(_wire_histories, tailed), (_wire_histories, read),
+                             (reference_run, tailed)]:
+        seen = []
+        net = _fussy_counter(seen)
+        if initializer:
+            net.initialize("a", initializer)
+        outcomes.append((_outcome(evaluate, net, {"a": stream}, slots), seen))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+class _Unreadable(TimedStream):
+    """A stream whose whole view may not be taken."""
+
+    __slots__ = ()
+
+    def slots(self):
+        raise AssertionError("the idle tail was read")
+
+
+def test_run_network_reads_only_the_produced_part_of_a_stream():
+    yielded = []
+
+    def source():
+        for slot in [(1,), (), (2,)]:
+            yielded.append(slot)
+            yield slot
+
+    seen = []
+    run = run_network(_fussy_counter(seen), {"a": _Unreadable(source, 10**6)}, 10**6)
+    assert yielded == [(1,), (), (2,)] and seen == [1, 2]
+    assert run.horizon == 10**6 and run.stored["b"] == [(1,), (), (2,)]
+    assert run.slots["a"] == [(1,), (), (2,)] + [()] * (10**6 - 3)
 
 
 # -------------------------------------------------- pinned port shapes

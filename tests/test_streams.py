@@ -65,3 +65,18 @@ def test_all_ticks_bounded_and_unbounded():
     assert tuple(all_ticks(3).items()) == (Tick, Tick, Tick)
     assert take_slots(all_ticks(), 4) == ((), (), (), ())
     assert len(tuple(all_ticks(7).slots())) == 7
+    assert tuple(all_ticks(7).produced()) == ()
+
+
+def test_an_idle_tail_follows_the_produced_slots():
+    s = TimedStream(lambda: [(1,), (2, 3)], 2)
+    assert tuple(s.produced()) == ((1,), (2, 3))
+    assert tuple(s.slots()) == ((1,), (2, 3), (), ())
+    assert tuple(s.items()) == (Msg(1), Tick, Msg(2), Msg(3), Tick, Tick, Tick)
+    assert take_slots(TimedStream(lambda: [(1,)], None), 4) == ((1,), (), (), ())
+
+
+@pytest.mark.parametrize("idle", [-1, 1.0, "3"])
+def test_a_stream_refuses_an_idle_tail_that_is_not_a_count(idle):
+    with pytest.raises(ValueError, match="idle must be a non-negative integer or None"):
+        TimedStream(tuple, idle)

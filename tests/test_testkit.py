@@ -561,8 +561,9 @@ def test_a_run_stores_no_slot_of_its_quiet_tail():
         finally:
             tracemalloc.stop()
 
-    # The input wire is read whole, one pointer per slot; a run that kept
-    # its quiet tail would hold one per slot on each of its six wires.
+    # The input wire holds one pointer per slot, its idle tail filled in
+    # whole; a run that kept its quiet tail would hold one per slot on each
+    # of its six wires.
     short, long = peak(50_000), peak(100_000)
     assert long - short < 16 * 50_000, (short, long)
     # Nor is the input's tail held twice while it is cut off.
