@@ -15,8 +15,19 @@ state is its oracle cursor.  Signed messages are ``(bit, payload)`` pairs.
 
 from __future__ import annotations
 
-import random
+from _random import Random
 from typing import Any, Mapping, Optional, Tuple
+
+# The builtin SHA-512 that `random.seed` uses, found as `random` finds it.
+# It is cheaper per call than OpenSSL's, and importing `hashlib` here, ahead
+# of the rest of the package, raised peak RSS by 0.13 MB (Python 3.11, x86-64).
+try:
+    from _sha2 import sha512  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha512 import sha512
+    except ImportError:
+        from hashlib import sha512
 
 from .runtime import (
     FromA,
@@ -89,7 +100,15 @@ class OracleSpec(_Value):
             return self.bits[position]
         if self.kind == "cyclic":
             return self.bits[position % len(self.bits)]
-        return random.Random(f"{self.seed}:{position}").random() < self.pass_probability
+        # `random.Random(f"{seed}:{position}").random() < p` without the
+        # Python wrapper: the integer `random.seed` (version 2) derives from
+        # that str goes straight to the C generator, so the state, the float
+        # and the decision are the same.  "big" is spelled out, as 3.10's
+        # `int.from_bytes` has no default.  A fresh generator per draw: a
+        # shared one is reseeded and drawn in two calls a thread can split.
+        text = f"{self.seed}:{position}".encode()
+        return (Random(int.from_bytes(text + sha512(text).digest(), "big")).random()
+                < self.pass_probability)
 
     def cursor(self) -> "OracleCursor":
         return OracleCursor(self, 0)

@@ -30,7 +30,7 @@ the counter.  ``SetTimer -1`` disables the timer.
 from __future__ import annotations
 
 from itertools import compress, count, islice, repeat
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .streams import Msg, Tick, TimedStream, _Signal, _Value, _set_payload
 
@@ -196,9 +196,10 @@ def _merge_slot(slot_a: tuple, slot_b: tuple) -> tuple:
     return tuple(map(FromA, slot_a)) + tuple(map(FromB, slot_b))
 
 
-def _demux_slot(payloads: Iterable[Any], culprit: str) -> Tuple[tuple, tuple]:
+def _demux_slot(payloads: Iterable[Any], component: Optional[str] = None) -> Tuple[tuple, tuple]:
     """One slot split back into two channels: FromA payloads to the first,
-    FromB to the second; an untagged payload raises ModelError."""
+    FromB to the second; an untagged payload raises ModelError, naming the
+    two-port `component` that emitted it, if one did."""
     first, second = [], []
     for payload in payloads:
         if isinstance(payload, FromA):
@@ -206,6 +207,8 @@ def _demux_slot(payloads: Iterable[Any], culprit: str) -> Tuple[tuple, tuple]:
         elif isinstance(payload, FromB):
             second.append(payload.payload)
         else:
+            culprit = ("demux saw" if component is None else
+                       f"component {component!r} has two output ports but emitted")
             raise ModelError(f"{culprit} untagged payload {payload!r}")
     return tuple(first), tuple(second)
 
@@ -223,7 +226,7 @@ def demux_timed(s: TimedStream) -> Tuple[TimedStream, TimedStream]:
     goes to both."""
 
     def route(port):
-        return TimedStream(lambda: (_demux_slot(slot, "demux saw")[port] for slot in s.slots()))
+        return TimedStream(lambda: (_demux_slot(slot)[port] for slot in s.slots()))
 
     return route(0), route(1)
 
@@ -325,18 +328,22 @@ class NetworkSpec:
                         if wire in self._producers and wire not in delayed]
             for comp in self._components.values()
         }
-        order: List[str] = []
+        # Repeated passes in insertion order, each placing every component
+        # whose blockers are all placed, earlier in the same pass included.
+        order: List[_Component] = []
+        placed = set()
         while len(order) < len(blocking):
-            placed = len(order)
+            before = len(order)
             for name, deps in blocking.items():
-                if name not in order and all(dep in order for dep in deps):
-                    order.append(name)
-            if len(order) == placed:
-                pending = sorted(name for name in blocking if name not in order)
+                if name not in placed and placed.issuperset(deps):
+                    placed.add(name)
+                    order.append(self._components[name])
+            if len(order) == before:
+                pending = sorted(blocking.keys() - placed)
                 raise DeadlockDetected(
                     f"components {pending} form a cycle with no tick-bearing initializer"
                 )
-        return [self._components[name] for name in order]
+        return order
 
 
 class NetworkRun(_Value):
@@ -392,7 +399,6 @@ def _round_step(comp: _Component, history: Dict[str, List[tuple]]) -> Callable[[
     merge = len(comp.inputs) == 2
     put, put_second = history[comp.outputs[0]].append, history[comp.outputs[-1]].append
     split = len(comp.outputs) == 2
-    culprit = f"component {comp.name!r} has two output ports but emitted"
 
     def advance(state, index):
         payloads = first[index]
@@ -400,7 +406,7 @@ def _round_step(comp: _Component, history: Dict[str, List[tuple]]) -> Callable[[
             payloads = _merge_slot(payloads, second[index])
         state, payloads = slot_form(state, payloads)
         if split:
-            payloads, rest = _demux_slot(payloads, culprit)
+            payloads, rest = _demux_slot(payloads, comp.name) if payloads else ((), ())
             put_second(rest)
         put(payloads)
         return state

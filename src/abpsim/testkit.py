@@ -23,6 +23,7 @@ import math
 import random
 from collections import Counter
 from enum import Enum
+from itertools import chain
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .abp import RESEND_TIMEOUT, OracleSpec, build_abp_network
@@ -540,7 +541,7 @@ def check_identity(scenario: ScenarioSpec) -> IdentityResult:
     against untimed input; a result that does not pass keeps the run."""
     run, warnings = run_scenario(scenario)
     expected = scenario.payloads()
-    actual = tuple(p for slot in run.stored["out"] for p in slot)
+    actual = tuple(chain.from_iterable(run.stored["out"]))
 
     if actual == expected:
         status, divergence, run = IdentityStatus.PASS, None, None

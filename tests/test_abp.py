@@ -1,3 +1,7 @@
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +135,69 @@ def test_bernoulli_oracle_is_deterministic_per_seed_and_position():
     bits = [spec.bit_at(i) for i in range(64)]
     assert bits == [spec.bit_at(i) for i in range(64)]
     assert OracleSpec.bernoulli(0.5, 124).bit_at(0) in (True, False)
+
+
+def _reference_bit(p, seed, position):
+    # The documented rule of a Bernoulli oracle, as a value or as the error
+    # it raises.
+    try:
+        return random.Random(f"{seed}:{position}").random() < p
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _bit(spec, position):
+    try:
+        return spec.bit_at(position)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Seeds of thousands of digits, some past the interpreter's int-to-str digit
+# limit (4,300 by default), where the seed's text raises.
+_seeds = st.one_of(
+    st.integers(),
+    st.sampled_from([0, 1, -1, -5, 7, 2**32 - 1, 2**32, -(2**32 - 1), 10**40]),
+    st.builds(lambda digits, sign: sign * (10**digits - 1),
+              st.integers(1000, 5000), st.sampled_from([1, -1])),
+)
+_positions = st.one_of(st.integers(0, 300), st.integers(0, 2**63),
+                       st.sampled_from([10**9, 2**63]))
+_probabilities = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.sampled_from([1.0, 5e-324, 1e-300, 1e-9, 0.5, 1.0 - 2**-53]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_probabilities, _seeds, _positions)
+def test_bernoulli_bit_is_the_seeded_random_rule(p, seed, position):
+    assert _bit(OracleSpec.bernoulli(p, seed), position) == _reference_bit(p, seed, position)
+
+
+def test_bernoulli_draws_from_several_threads_match_a_sequential_pass():
+    # Each draw must own its generator: a shared one reseeded and then drawn
+    # from would let a thread switch between the two calls swap decisions.
+    specs = [OracleSpec.bernoulli(0.5, seed) for seed in range(8)]
+    positions = range(1500)
+    expected = [[spec.bit_at(k) for k in positions] for spec in specs]
+    got = [None] * len(specs)
+
+    def draw(index):
+        got[index] = [specs[index].bit_at(k) for k in positions]
+
+    threads = [threading.Thread(target=draw, args=(i,)) for i in range(len(specs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expected
 
 
 def test_bernoulli_probability_one_always_passes():

@@ -372,6 +372,46 @@ def test_run_network_deadlocks_exactly_when_the_schedule_does(network):
         assert all(len(run.slots[wire]) == 3 for wire in run.wire_order)
 
 
+def _reference_schedule(components, initializers):
+    # The placement rule, restated: a component waits for the producers of
+    # its input wires, except along initialized wires.  Repeated passes in
+    # insertion order place every component whose blockers are all placed,
+    # earlier in the same pass included; a pass that places none is a
+    # deadlock, naming the unplaced components in sorted order.
+    producers = {wire: name for name, _, outputs in components for wire in outputs}
+    blocking = [(name, [producers[wire] for wire in inputs
+                        if wire in producers and wire not in initializers])
+                for name, inputs, _ in components]
+    order = []
+    while len(order) < len(blocking):
+        placed = len(order)
+        for name, deps in blocking:
+            if name not in order and all(dep in order for dep in deps):
+                order.append(name)
+        if len(order) == placed:
+            pending = sorted(name for name, _ in blocking if name not in order)
+            return f"components {pending} form a cycle with no tick-bearing initializer"
+    return order
+
+
+@given(small_networks())
+def test_schedule_places_components_by_repeated_passes(network):
+    components, initializers = network
+    # Names that sort against insertion order, so the message's order shows.
+    components = [(f"m{9 - index}", inputs, outputs)
+                  for index, (_, inputs, outputs) in enumerate(components)]
+    net = NetworkSpec()
+    for name, inputs, outputs in components:
+        net.add_machine(name, None, forwarder(), inputs=inputs, outputs=outputs)
+    for wire, items in initializers.items():
+        net.initialize(wire, items)
+    try:
+        scheduled = [comp.name for comp in net._schedule()]
+    except DeadlockDetected as exc:
+        scheduled = str(exc)
+    assert scheduled == _reference_schedule(components, initializers)
+
+
 # ------------------------------------------------- quiet-slot fast-forward
 
 
