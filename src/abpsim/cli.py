@@ -458,7 +458,9 @@ def _identity_row(scenario: ScenarioSpec) -> dict:
                            "machine": "abp"}
     try:
         result = check_identity(scenario)
-    except _MODEL_ERRORS as exc:
+    except MemoryError:
+        raise
+    except Exception as exc:  # a model that raises fails its row
         row["status"] = "fail"
         row["detail"] = f"{type(exc).__name__}: {exc}"
         return row

@@ -255,22 +255,48 @@ def bundled_tables() -> List[TableCase]:
     return cases
 
 
-def _load_json(path):
-    """The JSON document in the file at `path`; nesting too deep for the
-    decoder is a ValueError, like any other malformed document."""
+def _load_json(path, object_hook=None):
+    """The JSON document in the file at `path`, each of its objects passed
+    through `object_hook` if one is given; nesting too deep for the decoder
+    is a ValueError, like any other malformed document."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            return json.load(handle, object_hook=object_hook)
         except RecursionError:
             raise ValueError("JSON document nests too deeply") from None
 
 
+_SHARED_FIELDS = ("machine", "start", "input", "expectState", "expectOutputs")
+
+
+def _text_sharing_hook():
+    """An object hook that makes the string values of the machine and
+    literal fields one object per distinct text, for one decode.
+
+    A table holds each record's texts while it is decoded and parsed, and
+    draws them from a small alphabet: sharing them keeps one copy of each
+    instead of one per record.  Ids are unique and need no sharing; a value
+    that is not a string is left alone, since ``1 == True`` would merge
+    them."""
+    share = {}.setdefault
+
+    def hook(obj):
+        for key in _SHARED_FIELDS:
+            value = obj.get(key)
+            if value.__class__ is str:
+                obj[key] = share(value, value)
+        return obj
+
+    return hook
+
+
 def load_table_file(path) -> List[TableCase]:
     """The cases of the table file at `path`; a malformed file is a
-    ValueError whose message starts with the path."""
+    ValueError whose message starts with the path.  Equal machine names and
+    literal texts share one string while the file is decoded."""
     source = str(path)
     try:
-        doc = _load_json(path)
+        doc = _load_json(path, _text_sharing_hook())
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
     return parse_table(doc, source=source)

@@ -30,7 +30,7 @@ from abpsim import (
     run_scenario,
     scenario_digest,
 )
-from abpsim import cli
+from abpsim import abp, cli
 from abpsim.golden import MACHINES
 from abpsim.cli import run
 
@@ -252,6 +252,43 @@ def test_test_reports_a_model_error_as_a_failing_row(tmp_path, capsys):
     assert row == {"kind": "identity", "machine": "abp", "id": "short_oracle", "status": "fail",
                    "detail": "OracleExhausted: explicit oracle of 1 bits, bit 1 requested"}
     assert len(others) == 18 and all(other["status"] == "pass" for other in others)
+
+
+def test_test_reports_a_raising_model_as_failing_rows(capsys, monkeypatch):
+    # A sender that raises IndexError once its buffer holds more than three
+    # payloads: an exception no model-error class names.
+    make_sender_delta = abp.make_sender_delta
+
+    def make_raising_sender_delta(timeout):
+        sender_delta = make_sender_delta(timeout)
+
+        def raising_sender_delta(state, event):
+            if len(state[1]) > 3:
+                raise IndexError("tuple index out of range")
+            return sender_delta(state, event)
+
+        return raising_sender_delta
+
+    monkeypatch.setattr(abp, "make_sender_delta", make_raising_sender_delta)
+    code, out, err = run_cmd(capsys, "test", "--count", "100", "--seed", "0", "--format", "json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    rows = report["verdicts"]
+    assert len(rows) == 118
+    assert report["meta"]["passed"] + report["meta"]["failed"] == len(rows)
+    raising = [row for row in rows
+               if row.get("detail") == "IndexError: tuple index out of range"]
+    assert raising and report["meta"]["failed"] == len(raising)
+    assert all(row["kind"] == "identity" and row["status"] == "fail" for row in raising)
+
+
+def test_running_out_of_memory_in_an_identity_check_exits_2(capsys, monkeypatch):
+    def no_memory(scenario):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "check_identity", no_memory)
+    assert run_cmd(capsys, "test", "--no-bundled", "--scenario", "single_drop") == \
+        (2, "", "error: out of memory\n")
 
 
 def test_test_inconclusive_row_carries_the_fairness_warning(tmp_path, capsys):
