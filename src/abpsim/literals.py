@@ -10,11 +10,22 @@ MsgO.  Machine states fit the same grammar: a sender state is written
 
 parse_value reads the text in one tokenizer pass and builds the value in one
 loop over an explicit stack of open sequences and tags, so deep nesting never
-recurses; text nested more than 100 levels deep is a LiteralError.  A flat
-run, a non-empty sequence of only integers (``[3,4,5]``) or only booleans
-(``[true,false]``), is one token: the tokenizer converts it to its tuple in
-C, so the loop takes one step for it instead of one per bracket, comma and
-item.  Any other sequence is read token by token.
+recurses; text nested more than 100 levels deep is a LiteralError.  Three
+common shapes are each one token, so the loop takes one step for each
+instead of one per bracket, comma and item:
+
+* a flat run, a non-empty sequence of only integers (``[3,4,5]``) or only
+  booleans (``[true,false]``), which the tokenizer converts to its tuple in C;
+* a tag other than ``Oracle`` applied to integer or boolean arguments only
+  (``MsgO(true,3)``, ``SetTimer(3)``);
+* an explicit oracle with a non-empty bit run and a position
+  (``Oracle([true,false],1)``).
+
+A tag token keeps its argument text, and the loop converts it and checks it
+when it reaches the token, so every error is raised in the order a
+token-by-token reading would raise it.  Any other sequence or tag is read
+token by token.
+
 parse_value and format_value are inverse on grammar-representable values.
 Values outside the grammar (closures, foreign objects) format as Python
 reprs when ``strict`` is off, which is how the CLI renders every trace and
@@ -42,12 +53,19 @@ class LiteralError(ValueError):
 # them well inside Python's stack.
 _MAX_DEPTH = 100
 
-# One token after optional whitespace.  The first two groups catch the
-# inside of a flat run of integers or of booleans, the third a single token,
-# and the fourth the first character that starts no token.
+# One token after optional whitespace.  The groups catch, in order: the
+# inside of a flat run of integers or of booleans; a tag other than Oracle
+# and the inside of its argument list of integers and booleans; the inside
+# of an explicit oracle's bit run and its position; a single token; and the
+# first character that starts no token.  Every alternative allows r"\s"
+# wherever the grammar does.
+_SCALARS = r"(\s*(?:-?\d+|true|false)\s*(?:,\s*(?:-?\d+|true|false)\s*)*)"
+_BITS = r"(\s*(?:true|false)\s*(?:,\s*(?:true|false)\s*)*)"
 _TOKEN = re.compile(
     r"\s*(?:\[(\s*-?\d+\s*(?:,\s*-?\d+\s*)*)\]"
-    r"|\[(\s*(?:true|false)\s*(?:,\s*(?:true|false)\s*)*)\]"
+    rf"|\[{_BITS}\]"
+    rf"|(Msg[IO]?|From[AB]|SetTimer)\s*\({_SCALARS}\)"
+    rf"|Oracle\s*\(\s*\[{_BITS}\]\s*,\s*(-?\d+)\s*\)"
     r"|(-?\d+|[A-Za-z_][A-Za-z0-9_]*|[\[\](),])|(\S))"
 )
 
@@ -75,47 +93,67 @@ def _tagged(tag: str, args: List[Any]) -> Any:
     return _WRAPPERS[tag](args[0] if len(args) == 1 else tuple(args))
 
 
+def _bits(run: str) -> Tuple[bool, ...]:
+    # Built from a list: a tuple built from an iterator may keep spare slots.
+    return tuple([*map(_BOOLS.__getitem__, map(str.strip, run.split(",")))])
+
+
 def _shown(token: Any) -> str:
-    """A token as error messages quote it: a flat run as the "[" opening it."""
-    return repr("[" if token.__class__ is tuple else token)
+    """A token as error messages quote it: a flat run as the "[" opening it,
+    a tag token as its tag."""
+    if token.__class__ is tuple:
+        return "'['"
+    if token.__class__ is list:
+        return repr(token[0])
+    return repr(token)
+
+
+def _unexpected(token: Any, wanted: str, text: str) -> LiteralError:
+    if token is None:
+        return LiteralError(f"unexpected end of input in {text!r}")
+    return LiteralError(f"expected {wanted} but found {_shown(token)} in {text!r}")
+
+
+def _depth_error() -> LiteralError:
+    return LiteralError(f"literal nests deeper than {_MAX_DEPTH} levels")
 
 
 def parse_value(text: str) -> Any:
     """Parse one literal; trailing tokens are an error."""
     if not isinstance(text, str):
         raise LiteralError(f"expected a literal string, got {text!r}")
-    # A token is a string, or the ready tuple of a flat run.  A run's tuple is
-    # built from a list: one built from an iterator may keep spare slots.
+    # A token is a string, the ready tuple of a flat run, or a tag token: the
+    # list [tag, argument text], or ["Oracle", bit run text, position text].
     tokens: List[Any] = []
-    for match in _TOKEN.finditer(text):
-        ints, bools, token, stray = match.groups()
-        if token is None:
-            if ints is not None:
-                # Stripped first: int() does not strip "\x1c" to "\x1f",
-                # which r"\s" matches.
-                items = [*map(str.strip, ints.split(","))]
-                try:
-                    token = tuple([*map(int, items)])
-                except ValueError:
-                    # An item past int's digit limit: keep the run's own
-                    # tokens, so that the loop raises int's error in order.
-                    tokens.append("[")
-                    for item in items:
-                        tokens += (item, ",")
-                    tokens[-1] = "]"
-                    continue
-            elif bools is not None:
-                token = tuple([*map(_BOOLS.__getitem__, map(str.strip, bools.split(",")))])
-            else:
-                raise LiteralError(f"unexpected character {stray!r} at position {match.start(4)} in {text!r}")
-        tokens.append(token)
+    append = tokens.append
+    for ints, bools, tag, args, bits, position, token, stray in _TOKEN.findall(text):
+        if token:
+            append(token)
+        elif tag:
+            append([tag, args])
+        elif bits:
+            append(["Oracle", bits, position])
+        elif ints:
+            # Stripped first: int() does not strip "\x1c" to "\x1f", which
+            # r"\s" matches.
+            items = [*map(str.strip, ints.split(","))]
+            try:
+                append(tuple([*map(int, items)]))
+            except ValueError:
+                # An item past int's digit limit: keep the run's own tokens,
+                # so that the loop raises int's error in order.
+                append("[")
+                for item in items:
+                    tokens += (item, ",")
+                tokens[-1] = "]"
+        elif bools:
+            append(_bits(bools))
+        else:
+            # The first stray character: scan again for its position.
+            at = next(m.start(8) for m in _TOKEN.finditer(text) if m.group(8))
+            raise LiteralError(f"unexpected character {stray!r} at position {at} in {text!r}")
     end = len(tokens)
-    tokens.append(None)  # reading this sentinel means the text ended early
-
-    def unexpected(token: Any, wanted: str) -> LiteralError:
-        if token is None:
-            return LiteralError(f"unexpected end of input in {text!r}")
-        return LiteralError(f"expected {wanted} but found {_shown(token)} in {text!r}")
+    append(None)  # reading this sentinel means the text ended early
 
     # One (opener, items) frame per open sequence "[" or tag; the nesting
     # depth is the stack's length.
@@ -124,27 +162,41 @@ def parse_value(text: str) -> Any:
     while True:
         token = tokens[pos]
         pos += 1
-        if token.__class__ is tuple:  # a flat run is one level deeper, as "["
+        cls = token.__class__
+        if cls is tuple:  # a flat run is one level deeper, as "["
             if len(stack) == _MAX_DEPTH:
-                raise LiteralError(f"literal nests deeper than {_MAX_DEPTH} levels")
+                raise _depth_error()
             value = token
+        elif cls is list:
+            # A tag token is one level deeper, as its tag; an oracle token
+            # two, as its bit run is one level below the tag.
+            tag = token[0]
+            if tag == "Oracle":
+                if len(stack) >= _MAX_DEPTH - 1:
+                    raise _depth_error()
+                value = _tagged(tag, [_bits(token[1]), int(token[2])])
+            else:
+                if len(stack) == _MAX_DEPTH:
+                    raise _depth_error()
+                value = _tagged(tag, [_BOOLS[arg] if arg in _BOOLS else int(arg)
+                                      for arg in map(str.strip, token[1].split(","))])
         elif token == "[" or token in _TAGS:
             if len(stack) == _MAX_DEPTH:
-                raise LiteralError(f"literal nests deeper than {_MAX_DEPTH} levels")
+                raise _depth_error()
             if token == "[" and tokens[pos] == "]":
                 pos += 1
                 value = ()
             else:
                 if token != "[":
                     if tokens[pos] != "(":
-                        raise unexpected(tokens[pos], "'('")
+                        raise _unexpected(tokens[pos], "'('", text)
                     pos += 1
                 stack.append((token, []))
                 continue
         elif token in _ATOMS:
             value = _ATOMS[token]
         elif token is None:
-            raise unexpected(token, "a value")
+            raise _unexpected(token, "a value", text)
         elif token[0] == "-" or token[0].isdecimal():  # as r"\d", any Unicode digit
             value = int(token)
         else:
@@ -160,7 +212,7 @@ def parse_value(text: str) -> Any:
                 break
             closer = "]" if opener == "[" else ")"
             if token != closer:
-                raise unexpected(token, f"',' or {closer!r}")
+                raise _unexpected(token, f"',' or {closer!r}", text)
             stack.pop()
             value = tuple(items) if opener == "[" else _tagged(opener, items)
         else:

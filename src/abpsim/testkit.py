@@ -5,14 +5,16 @@ Three layers, each usable alone:
 * transition and path testers comparing a delta's actual behavior against
   expected states and output sequences (structural, order-sensitive);
 * coverage instrumentation against a declared catalog of abstract
-  transitions over state equivalence classes, a step's entry found by a
-  scan of the catalog (`TransitionCatalog._entry_in`);
+  transitions over state equivalence classes: each step scans only the
+  entries leaving its state's class (`TransitionCatalog._entry_in`), from
+  scan tables the catalog builds once;
 * scenario generation and the end-to-end identity check for the composed
   protocol (the system-level contract: delivered payloads equal sent
   payloads once timing is abstracted away).
 
 Testers never raise on a misbehaving delta; exceptions from the model are
-folded into failing verdicts so a suite always runs to completion.
+folded into failing verdicts so a suite always runs to completion.  Running
+out of memory is not a verdict: a MemoryError propagates.
 """
 
 from __future__ import annotations
@@ -106,11 +108,14 @@ class Verdict(_Value):
 
 def trans_test(delta: Delta, case: TransitionCase) -> Verdict:
     """Execute one transition and compare against the expectation.  A delta
-    that raises yields a failing verdict carrying the cause."""
+    that raises yields a failing verdict carrying the cause, unless it ran
+    out of memory."""
     expected = (case.expected_state, case.expected_outputs)
     try:
         state, outputs = delta(case.start_state, case.input)
         actual = (state, tuple(outputs))
+    except MemoryError:
+        raise
     except Exception as exc:
         return Verdict(case.id, False, expected=expected, error=f"{type(exc).__name__}: {exc}")
     return Verdict(case.id, actual == expected, expected=expected, actual=actual)
@@ -131,6 +136,8 @@ def path_test(delta: Delta, case: PathCase) -> Tuple[Verdict, ...]:
         try:
             state, outputs = delta(state, item)
             steps.append((state, tuple(outputs)))
+        except MemoryError:
+            raise
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
             break
@@ -174,7 +181,8 @@ class CatalogEntry(_Value):
 class TransitionCatalog:
     """Declared abstract transitions of one machine over named state
     equivalence classes.  Classes are predicate-defined and expected to be
-    pairwise disjoint; at most one entry may match any concrete step."""
+    pairwise disjoint; at most one entry may match any concrete step.  The
+    classes and entries are fixed once the catalog is built."""
 
     def __init__(self, machine: str, classes: Mapping[str, Callable[[Any], bool]],
                  entries: Iterable[CatalogEntry]):
@@ -191,33 +199,53 @@ class TransitionCatalog:
                     raise ValueError(
                         f"catalog {machine!r}: entry {entry.id!r} references unknown class {cls!r}"
                     )
+        # The scan tables of class_of and _entry_in, in catalog order: every
+        # (class id, predicate), and per class the (id, input pattern, guard)
+        # of each entry leaving it.
+        self._class_scan = tuple(self.classes.items())
+        self._leaving = {
+            cid: tuple((e.id, e.input_pattern, e.guard) for e in self.entries if e.source == cid)
+            for cid in self.classes
+        }
 
     def ids(self) -> frozenset:
         return frozenset(entry.id for entry in self.entries)
 
     def class_of(self, state) -> Optional[str]:
-        matches = [cid for cid, pred in self.classes.items() if pred(state)]
-        if len(matches) > 1:
+        # Every predicate runs once, in order; a second match starts the
+        # list of all of them that the error names.
+        found = matches = None
+        for cid, pred in self._class_scan:
+            if pred(state):
+                if found is None:
+                    found = cid
+                elif matches is None:
+                    matches = [found, cid]
+                else:
+                    matches.append(cid)
+        if matches is not None:
             raise ClassificationError(
                 f"catalog {self.machine!r}: state {state!r} lies in classes {matches}"
             )
-        return matches[0] if matches else None
+        return found
 
     def _entry_in(self, source: Optional[str], state, item) -> Optional[str]:
         """The entry leaving class `source` that the step matches, if any.
         Every entry leaving it is tried, so that two matches are an error."""
-        matches = [
-            entry.id
-            for entry in self.entries
-            if entry.source == source
-            and entry.input_pattern(item)
-            and (entry.guard is None or entry.guard(state, item))
-        ]
-        if len(matches) > 1:
+        found = matches = None
+        for eid, input_pattern, guard in self._leaving.get(source, ()):
+            if input_pattern(item) and (guard is None or guard(state, item)):
+                if found is None:
+                    found = eid
+                elif matches is None:
+                    matches = [found, eid]
+                else:
+                    matches.append(eid)
+        if matches is not None:
             raise ClassificationError(
                 f"catalog {self.machine!r}: step ({state!r}, {item!r}) matches {matches}"
             )
-        return matches[0] if matches else None
+        return found
 
 
 class CoverageReport(_Value):

@@ -31,7 +31,7 @@ from abpsim import (
     scenario_digest,
 )
 from abpsim import abp, cli
-from abpsim.golden import MACHINES
+from abpsim.golden import MACHINES, MachineBinding
 from abpsim.cli import run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -288,6 +288,18 @@ def test_running_out_of_memory_in_an_identity_check_exits_2(capsys, monkeypatch)
 
     monkeypatch.setattr(cli, "check_identity", no_memory)
     assert run_cmd(capsys, "test", "--no-bundled", "--scenario", "single_drop") == \
+        (2, "", "error: out of memory\n")
+
+
+def test_running_out_of_memory_in_a_table_row_exits_2(capsys, monkeypatch):
+    # Not one failing row per case: the whole command ends, as it does for
+    # an identity row.
+    def no_memory(state, event):
+        raise MemoryError
+
+    monkeypatch.setitem(MACHINES, "sender", MachineBinding(no_memory, MACHINES["sender"].catalog))
+    table = str(SRC / "abpsim" / "tables" / "sender.json")
+    assert run_cmd(capsys, "test", "--no-bundled", "--tables", table) == \
         (2, "", "error: out of memory\n")
 
 

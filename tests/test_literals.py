@@ -1,8 +1,10 @@
 import hashlib
+import json
 import random
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abpsim import (
@@ -20,6 +22,7 @@ from abpsim import (
     format_value,
     parse_value,
 )
+from abpsim import golden, literals
 from abpsim.literals import _TOKEN
 
 
@@ -225,9 +228,9 @@ def _corpus():
     yield "[" * 100_000
 
 
-def _outcome(text):
+def _outcome(text, parse=parse_value):
     try:
-        return repr(parse_value(text))
+        return repr(parse(text))
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -348,3 +351,197 @@ def test_flat_run_past_the_int_digit_limit_fails_where_its_item_would():
     assert _outcome(f"true [{big}]") == f"LiteralError: trailing input '[' in 'true [{big}]'"
     assert _outcome("[" * 100 + f"[{big}]" + "]" * 100) == (
         "LiteralError: literal nests deeper than 100 levels")
+
+
+# ------------------------------------------------ the token-by-token reader
+
+# The straightforward reader: one token per bracket, comma, item and tag, so
+# no token stands for a flat run or a tag's argument list, and the same
+# loop over an explicit stack.  parse_value must agree with it on every
+# text: values by repr, errors by class and message.
+_REFERENCE_TOKEN = re.compile(r"\s*(?:(-?\d+|[A-Za-z_][A-Za-z0-9_]*|[\[\](),])|(\S))")
+
+
+def _reference_parse(text):
+    tokens = []
+    for match in _REFERENCE_TOKEN.finditer(text):
+        token, stray = match.groups()
+        if stray is not None:
+            raise LiteralError(f"unexpected character {stray!r} at position {match.start(2)} "
+                               f"in {text!r}")
+        tokens.append(token)
+    end = len(tokens)
+    tokens.append(None)
+
+    def unexpected(token, wanted):
+        if token is None:
+            return LiteralError(f"unexpected end of input in {text!r}")
+        return LiteralError(f"expected {wanted} but found {token!r} in {text!r}")
+
+    stack = []
+    pos = 0
+    while True:
+        token = tokens[pos]
+        pos += 1
+        if token == "[" or token in literals._TAGS:
+            if len(stack) == literals._MAX_DEPTH:
+                raise LiteralError(f"literal nests deeper than {literals._MAX_DEPTH} levels")
+            if token == "[" and tokens[pos] == "]":
+                pos += 1
+                value = ()
+            else:
+                if token != "[":
+                    if tokens[pos] != "(":
+                        raise unexpected(tokens[pos], "'('")
+                    pos += 1
+                stack.append((token, []))
+                continue
+        elif token in literals._ATOMS:
+            value = literals._ATOMS[token]
+        elif token is None:
+            raise unexpected(token, "a value")
+        elif token[0] == "-" or token[0].isdecimal():
+            value = int(token)
+        else:
+            raise LiteralError(f"unknown token {token!r} in {text!r}")
+        while stack:
+            opener, items = stack[-1]
+            items.append(value)
+            token = tokens[pos]
+            pos += 1
+            if token == ",":
+                break
+            closer = "]" if opener == "[" else ")"
+            if token != closer:
+                raise unexpected(token, f"',' or {closer!r}")
+            stack.pop()
+            value = tuple(items) if opener == "[" else literals._tagged(opener, items)
+        else:
+            if pos != end:
+                raise LiteralError(f"trailing input {tokens[pos]!r} in {text!r}")
+            return value
+
+
+def test_parse_value_agrees_with_the_reference_on_the_pinned_corpus():
+    for text in _corpus():
+        assert _outcome(text) == _outcome(text, _reference_parse), text
+
+
+_GAPS = st.sampled_from(["", "", "", " ", "\t", "\x1c", "\u2003"])
+_INTS = st.builds(lambda sign, digits: sign + digits, st.sampled_from(["", "", "-"]),
+                  st.text(st.sampled_from("0123456789\u0663"), min_size=1, max_size=3))
+_BITS = st.sampled_from(["true", "false"])
+
+
+def _joined(gap, items):
+    return f"{gap},{gap}".join(items)
+
+
+_ORACLE_TEXTS = st.builds(
+    lambda gap, bits, position:
+        f"Oracle({gap}[{gap}{_joined(gap, bits)}{gap}]{gap},{gap}{position}{gap})",
+    _GAPS, st.lists(_BITS, max_size=4), _INTS)
+_LITERAL_TEXTS = st.recursive(
+    _INTS | _BITS | st.sampled_from(["Tick", "Timeout"]) | _ORACLE_TEXTS,
+    lambda children: (
+        st.builds(lambda gap, items: f"[{gap}{_joined(gap, items)}{gap}]",
+                  _GAPS, st.lists(children, max_size=4))
+        | st.builds(lambda tag, gap, items: f"{tag}{gap}({gap}{_joined(gap, items)}{gap})",
+                    st.sampled_from(_TAGS), _GAPS, st.lists(children, min_size=1, max_size=3))),
+    max_leaves=12,
+)
+_EDITS = st.sampled_from(list("[](),-07 tx@\x1c\u2003\u0663") + ["true", "Msg", "Oracle(["])
+
+
+@st.composite
+def _edited_literal_texts(draw):
+    """A literal text with up to three characters inserted, deleted or
+    appended."""
+    text = draw(_LITERAL_TEXTS)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["insert", "delete", "append"]))
+        at = draw(st.integers(0, len(text)))
+        if kind == "insert":
+            text = text[:at] + draw(_EDITS) + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text += draw(_EDITS)
+    return text
+
+
+_BIG = "9" * 4301
+
+
+@settings(max_examples=400)
+@given(_edited_literal_texts())
+@example("[" * 99 + "Msg(1)" + "]" * 99)
+@example("[" * 100 + "Msg(1)" + "]" * 100)
+@example("[" * 98 + "Oracle([true],0)" + "]" * 98)
+@example("[" * 99 + "Oracle([true],0)" + "]" * 99)
+@example("SetTimer(true)")
+@example("Oracle([true],-1)")
+@example("Oracle([],0)")
+@example("MsgOx(1)")
+@example("Msg (1 , 2)")
+@example("MsgO(\x1ctrue\u2003,\u0663\u0966)")
+@example("Oracle(\u2003[\x1ctrue ,false\x1c]\u2003,\u0663)")
+@example("1 Msg(2)")
+@example("[1 2, Msg(" + _BIG + ")]")
+@example("[Msg(" + _BIG + ")]")
+@example("Oracle([true]," + _BIG + ")")
+def test_parse_value_agrees_with_the_token_by_token_reader(text):
+    assert _outcome(text) == _outcome(text, _reference_parse)
+
+
+
+def _nested(value, levels):
+    for _ in range(levels):
+        value = (value,)
+    return value
+
+
+@pytest.mark.parametrize("text,outcome", [
+    # A tag token is one level, as its tag; an oracle token two, as its
+    # tag and bit run.
+    ("[" * 99 + "Msg(1)" + "]" * 99, repr(_nested(Msg(1), 99))),
+    ("[" * 100 + "Msg(1)" + "]" * 100, "LiteralError: literal nests deeper than 100 levels"),
+    ("[" * 98 + "Oracle([true],0)" + "]" * 98,
+     repr(_nested(OracleCursor(OracleSpec.explicit([True]), 0), 98))),
+    ("[" * 99 + "Oracle([true],0)" + "]" * 99,
+     "LiteralError: literal nests deeper than 100 levels"),
+    # The argument checks run as the loop reaches the token.
+    ("SetTimer(true)", "LiteralError: SetTimer takes one integer argument, got [True]"),
+    ("Oracle([true],-1)", "LiteralError: Oracle position must be a non-negative integer, got -1"),
+    ("[1 2, Msg(" + _BIG + ")]", "LiteralError: expected ',' or ']' but found '2' in "
+     + repr("[1 2, Msg(" + _BIG + ")]")),
+    # Error messages quote a tag token as its tag.
+    ("1 Msg(2)", "LiteralError: trailing input 'Msg' in '1 Msg(2)'"),
+    ("[1 Oracle([true],0)]",
+     "LiteralError: expected ',' or ']' but found 'Oracle' in '[1 Oracle([true],0)]'"),
+    ("Msg SetTimer(3)", "LiteralError: expected '(' but found 'SetTimer' in 'Msg SetTimer(3)'"),
+    ("MsgOx(1)", "LiteralError: unknown token 'MsgOx' in 'MsgOx(1)'"),
+    ("Msg (1 , 2)", repr(Msg((1, 2)))),
+    ("MsgO(\x1ctrue\u2003,\u0663\u0966)", repr(MsgO((True, 30)))),
+])
+def test_tag_token_outcomes(text, outcome):
+    assert _outcome(text) == outcome
+
+
+@pytest.mark.parametrize("text", [
+    "Msg(7)", "MsgO( true , 3 )", "FromA(-1)", "SetTimer(\u0663)", "MsgI(true,false,4)",
+    "Oracle([true,false],1)", "Oracle ( [ false ] , 0 )",
+])
+def test_tag_of_scalar_arguments_and_explicit_oracle_are_one_token(text):
+    assert len(_TOKEN.findall(text)) == 1
+
+
+def test_bundled_tables_read_in_103_tokens():
+    # A flat run, a tag of scalar arguments and an explicit oracle are one
+    # token each: 215 tokens read token by token, 185 with flat runs alone.
+    texts = {record[key]
+             for name in golden.BUNDLED_TABLE_NAMES
+             for record in json.loads(golden._bundled_text("tables", name))["cases"]
+             for key in ("start", "input", "expectState", "expectOutputs")}
+    assert sum(len(_TOKEN.findall(text)) for text in texts) == 103
+    assert sum(len(_REFERENCE_TOKEN.findall(text)) for text in texts) == 215

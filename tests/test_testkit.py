@@ -7,7 +7,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abpsim import (
@@ -135,6 +135,19 @@ def test_testers_fold_non_iterable_outputs_into_a_failing_verdict(run):
     assert verdict.error.startswith("TypeError: ")
 
 
+@pytest.mark.parametrize("run", [
+    lambda delta: trans_test(delta, TransitionCase("c", 0, 1, 0, ())),
+    lambda delta: path_test(delta, PathCase("c", 0, (1,), FULL, ((0, ()),))),
+    lambda delta: path_test(delta, PathCase("c", 0, (1,), OUTPUTS_ONLY, ())),
+], ids=["trans_test", FULL, OUTPUTS_ONLY])
+def test_testers_let_running_out_of_memory_propagate(run):
+    def no_memory(state, item):
+        raise MemoryError
+
+    with pytest.raises(MemoryError):
+        run(no_memory)
+
+
 def test_path_case_validates_its_shape():
     with pytest.raises(ValueError):
         PathCase("bad", 0, ("inc",), "sideways", (1,))
@@ -219,6 +232,73 @@ def test_overlapping_entries_of_one_class_are_a_classification_error():
     # entries leaving it, even for a step that matches two in a real class.
     for source in (None, "no_such_class"):
         assert catalog._entry_in(source, 4, 8) is None
+
+
+# A fixed menu of class predicates, input patterns and guards over small
+# integers, for random catalogs; "any" makes classes and entries overlap.
+_PREDICATES = {
+    "any": lambda s: True, "none": lambda s: False, "even": lambda s: s % 2 == 0,
+    "odd": lambda s: s % 2 == 1, "third": lambda s: s % 3 == 0, "big": lambda s: s > 4,
+}
+_GUARDS = {
+    "none": None, "above": lambda s, i: s > i, "equal": lambda s, i: s == i,
+    "sum_even": lambda s, i: (s + i) % 2 == 0,
+}
+
+
+def _reference_class_of(catalog, state):
+    matches = [cid for cid, pred in catalog.classes.items() if pred(state)]
+    if len(matches) > 1:
+        raise ClassificationError(
+            f"catalog {catalog.machine!r}: state {state!r} lies in classes {matches}")
+    return matches[0] if matches else None
+
+
+def _reference_entry_in(catalog, source, state, item):
+    matches = [entry.id for entry in catalog.entries
+               if entry.source == source and entry.input_pattern(item)
+               and (entry.guard is None or entry.guard(state, item))]
+    if len(matches) > 1:
+        raise ClassificationError(
+            f"catalog {catalog.machine!r}: step ({state!r}, {item!r}) matches {matches}")
+    return matches[0] if matches else None
+
+
+def _classified(classify, *args):
+    try:
+        return classify(*args)
+    except ClassificationError as exc:
+        return f"ClassificationError: {exc}"
+
+
+_MENU_CATALOGS = st.tuples(
+    st.lists(st.sampled_from(sorted(_PREDICATES)), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from(sorted(_PREDICATES)),
+                       st.sampled_from(sorted(_GUARDS))), max_size=8),
+)
+
+
+@settings(max_examples=150)
+@given(_MENU_CATALOGS)
+@example((["any", "even", "third"], [(0, 0, "any", "none"), (0, 1, "even", "none"),
+                                     (0, 2, "big", "sum_even"), (1, 1, "any", "above")]))
+def test_class_of_and_entry_in_agree_with_a_plain_scan(menu):
+    # Two- and three-way overlaps of classes and of entries included: the
+    # error names every match, in catalog order.
+    predicates, rows = menu
+    classes = {f"c{n}_{name}": _PREDICATES[name] for n, name in enumerate(predicates)}
+    names = list(classes)
+    entries = [CatalogEntry(f"e{n}", names[source % len(names)], names[target % len(names)],
+                            _PREDICATES[pattern], _GUARDS[guard])
+               for n, (source, target, pattern, guard) in enumerate(rows)]
+    catalog = TransitionCatalog("menu", classes, entries)
+    for state in range(10):
+        assert _classified(catalog.class_of, state) == \
+            _classified(_reference_class_of, catalog, state)
+        for source in (*names, None, "no_such_class"):
+            for item in range(10):
+                assert _classified(catalog._entry_in, source, state, item) == \
+                    _classified(_reference_entry_in, catalog, source, state, item)
 
 
 def test_sender_catalog_is_deterministic_on_its_golden_steps(step_entry):
