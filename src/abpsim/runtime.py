@@ -270,6 +270,9 @@ class NetworkSpec:
     def add_machine(self, name: str, start, delta: Delta, *, inputs: Sequence[str], outputs: Sequence[str]):
         if name in self._components:
             raise ValueError(f"duplicate component {name!r}")
+        if isinstance(inputs, str) or isinstance(outputs, str):
+            raise ValueError(f"component {name!r}: ports must be a sequence of wire names, "
+                             f"not a str")
         if not 1 <= len(inputs) <= 2 or not 1 <= len(outputs) <= 2:
             raise ValueError("components support one or two ports per direction")
         comp = _Component(name, start, delta, tuple(inputs), tuple(outputs))
@@ -287,8 +290,9 @@ class NetworkSpec:
         """Pre-fill the wire with whole slots: `items` (Msg and Tick only)
         are read as slots, each closed by its Tick, and go ahead of whatever
         the wire is fed or its producer emits, delaying every reader by one
-        slot per tick.  A message after the last tick is a ValueError; an
-        empty list pre-fills nothing."""
+        slot per tick.  A message after the last tick is a ValueError, and
+        so is a second non-empty initializer of the wire; an empty list
+        pre-fills nothing."""
         slots: List[tuple] = []
         current: List[Any] = []
         for item in items:
@@ -304,6 +308,8 @@ class NetworkSpec:
                              f"after its last Tick; each slot must be closed by a Tick")
         self._note_wire(wire)
         if slots:
+            if wire in self._initializers:
+                raise ValueError(f"wire {wire!r} is already initialized")
             self._initializers[wire] = tuple(slots)
         return self
 
@@ -418,29 +424,29 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
     """Evaluate the network over the first `slots` slots and record every
     wire's history up to the slot the network falls quiet in; `slots` is
     the run's horizon (see `NetworkRun`).  Identical spec, inputs and slot
-    count give identical histories; a negative slot count raises
-    ValueError.
+    count give identical histories.
 
-    Each external wire is read once, up front: at most `slots` slots of its
-    stream's `produced()` part go straight into its history.  If they are
-    good but fewer, as many empty slots of the stream's idle tail as the
-    history still needs are filled in without being read.  Each round, the
-    first included, then steps every component once (its `_round_step`), in
-    topological order of the initializer-broken wiring graph, until the
-    network settles (see below).  Initializers pre-fill whole slots at the
-    head of their wires (see `NetworkSpec.initialize`).  A reader in round
-    i always finds slot i of its wire: external wires are read first, an
-    undelayed wire's producer steps before its readers, and a delayed wire
-    starts a pre-filled slot ahead.  So the only deadlock is a failed
-    schedule, raised as DeadlockDetected before any delta is called.
+    Every input is checked before any delta is called.  A slot count that
+    is a bool, not an int or negative raises ValueError, as does a stream
+    missing for an external wire or supplied for another wire; a failed
+    schedule raises DeadlockDetected.  Then each external wire is read
+    once, in feed order (the order of `external`): at most `slots` slots of
+    its stream's `produced()` part go straight into its history, and if
+    they are fewer, as many empty slots of the stream's idle tail as the
+    history still needs are filled in without being read.  An exception
+    from the stream's own iterator propagates as it is; after it, a slot
+    that is not a tuple, and then a stream that ends before `slots` slots,
+    idle tail included, raise ModelError.  So the first faulty wire in feed
+    order wins.
 
-    An input error is raised in its own round, before that round steps any
-    component, as if each wire were fed one slot per round: a stream that
-    ends early or yields a slot that is not a tuple raises ModelError, and
-    an exception from the stream's own iterator propagates.  So a delta
-    that fails in an earlier round still wins, and in one round the first
-    wire in feed order wins.  A stream ends early only when its idle tail
-    runs out too.
+    Each round, the first included, then steps every component once (its
+    `_round_step`), in topological order of the initializer-broken wiring
+    graph, until the network settles (see below).  Initializers pre-fill
+    whole slots at the head of their wires (see `NetworkSpec.initialize`).
+    A reader in round i always finds slot i of its wire: external wires are
+    read first, an undelayed wire's producer steps before its readers, and
+    a delayed wire starts a pre-filled slot ahead.  So the only deadlock is
+    the failed schedule.
 
     A settled network stops.  Once a round after the last one fed a
     non-empty slot leaves every component state equal (``==``) to its state
@@ -450,12 +456,13 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
     would call a delta or touch a wire.  So the run stops there, every wire
     is cut there, to one common length, and the rest of the horizon is
     stored as its length alone.  Every earlier round is stepped, quiet or
-    not.  An input error read up front is raised even when the network
-    stops before its round.  This relies on the contract of every delta: it
-    is pure, and states that compare equal behave alike.  A state that
-    never compares equal to its predecessor just keeps the run going to the
-    horizon; the histories are the same either way.
+    not.  This relies on the contract of every delta: it is pure, and
+    states that compare equal behave alike.  A state that never compares
+    equal to its predecessor just keeps the run going to the horizon; the
+    histories are the same either way.
     """
+    if isinstance(slots, bool) or not isinstance(slots, int):
+        raise ValueError(f"slot count must be an integer, got {slots!r}")
     if slots < 0:
         raise ValueError(f"slot count must be >= 0, got {slots}")
     external_wires = spec.external_wires()
@@ -474,43 +481,32 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
     # those its initializer fills ahead.
     ahead = [(history[w], len(history[w]) + 1) for w in spec.wire_order]
 
-    # `stop` is the round of the first input error, `slots` without one, and
-    # `last` the last round fed a non-empty slot, -1 without one.
-    stop, failure, last = slots, None, -1
+    last = -1  # the last round fed a non-empty slot, -1 without one
     for wire, stream in external.items():
         wire_history = history[wire]
         start = len(wire_history)
-        feed, error = islice(stream.produced(), slots), None
-        try:
-            wire_history.extend(feed)
-        except Exception as exc:  # the stream's own, raised in its round below
-            error = exc
-        # `read` becomes the round this wire fails in, if it fails.  The
-        # pre-filled slots are tuples, so the whole list is checked.
-        read = len(wire_history) - start
+        wire_history.extend(islice(stream.produced(), slots))
+        # The pre-filled slots are tuples, so the whole list is checked.
         if not all(map(isinstance, wire_history, repeat(tuple))):
-            read, slot = next((i, slot) for i, slot in enumerate(wire_history[start:])
-                              if not isinstance(slot, tuple))
-            error = ModelError(f"external wire {wire!r} was fed a {type(slot).__name__} "
-                               f"in slot {read}, not a tuple of payloads")
-        # The good fed slots, last first: a bad slot is never truth-tested.
-        bad = len(wire_history) - start - read
-        good = islice(reversed(wire_history), bad, bad + read)
-        last = max(last, next(compress(count(read - 1, -1), good), -1))
-        if error is None and read < slots:
-            # Good but short: the idle tail is filled, not read.
-            idle = slots - read if stream.idle is None else min(stream.idle, slots - read)
-            wire_history.extend(repeat((), idle))
-            read += idle
-            if read < slots:
-                error = ModelError(f"external input ended after {read} slots, {slots} requested")
-        if error is not None and read < stop:
-            stop, failure = read, error
+            index, slot = next((i, slot) for i, slot in enumerate(wire_history[start:])
+                               if not isinstance(slot, tuple))
+            raise ModelError(f"external wire {wire!r} was fed a {type(slot).__name__} "
+                             f"in slot {index}, not a tuple of payloads")
+        read = len(wire_history) - start
+        fed = islice(reversed(wire_history), read)  # last first
+        last = max(last, next(compress(count(read - 1, -1), fed), -1))
+        short = slots - read
+        if short:
+            # The idle tail is filled, not read.
+            if stream.idle is not None and stream.idle < short:
+                raise ModelError(f"external input ended after {read + stream.idle} slots, "
+                                 f"{slots} requested")
+            wire_history.extend(repeat((), short))
 
     plan = [_round_step(comp, history) for comp in order]
     states = [comp.start for comp in order]
     index = 0
-    while index < stop:
+    while index < slots:
         # Up to round `last`, the payload fed in that round is still to
         # come, so no round settles and no state needs comparing.
         unchanged = index > last
@@ -524,8 +520,6 @@ def run_network(spec: NetworkSpec, external: Dict[str, TimedStream], slots: int)
             break  # settled: every later round would step nothing
         index += 1
 
-    if failure is not None:
-        raise failure
     if index < slots:
         # Stopped early.  `del` holds a pointer to each slot it deletes
         # until it is done, as many as the fed wires hold past `index`, so

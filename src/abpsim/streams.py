@@ -137,7 +137,7 @@ class TimedStream:
     __slots__ = ("_source", "_idle")
 
     def __init__(self, source: Callable[[], Iterable[tuple]], idle: Optional[int] = 0):
-        if idle is not None and not (isinstance(idle, int) and idle >= 0):
+        if idle is not None and (isinstance(idle, bool) or not isinstance(idle, int) or idle < 0):
             raise ValueError(f"idle must be a non-negative integer or None, got {idle!r}")
         self._source = source
         self._idle = idle

@@ -1,4 +1,5 @@
 import copy
+from itertools import islice
 
 import pytest
 
@@ -90,35 +91,36 @@ def _reference_run(spec, external, slots):
     """Every wire's history over `slots` slots by the plain per-slot rule,
     kept apart from `run_network` as the reference it must match.
 
-    Each round feeds every external wire its next slot, read lazily from
-    the stream, then steps the components in schedule order: each
-    tick-aware delta gets the slot's messages (tagged FromA/FromB with two
-    inputs) and then one tick.  There is no slot-step adapter, no read
-    ahead and no fast-forward.  Only the schedule and the initializers'
-    pre-filled slots come from `spec`.  Errors carry the messages
-    `run_network` gives them, and an exception of a stream's own iterator
-    comes out in the round that reads it."""
+    First each external wire, in feed order, reads the first `slots` slots
+    of its stream's whole view, `slots()`, idle tail included.  An
+    exception of the stream's own iterator propagates; then a slot that is
+    not a tuple, and then a stream that ends early, raise ModelError.  So
+    every input error comes out before any delta is called.  Then each
+    round steps the components in schedule order: each tick-aware delta
+    gets the slot's messages (tagged FromA/FromB with two inputs) and then
+    one tick.  There is no slot-step adapter, no idle-tail shortcut and no
+    fast-forward.  Only the schedule and the initializers' pre-filled slots
+    come from `spec`.  Errors carry the messages `run_network` gives
+    them."""
     order = spec._schedule()
     history = {wire: [] for wire in spec.wire_order}
     for wire, prefilled in spec._initializers.items():
         history[wire].extend(prefilled)
-    feeds = {wire: stream.slots() for wire, stream in external.items()}
+    for wire, stream in external.items():
+        fed = list(islice(stream.slots(), slots))
+        for index, slot in enumerate(fed):
+            if not isinstance(slot, tuple):
+                raise ModelError(f"external wire {wire!r} was fed a {type(slot).__name__} "
+                                 f"in slot {index}, not a tuple of payloads")
+        if len(fed) < slots:
+            raise ModelError(f"external input ended after {len(fed)} slots, {slots} requested")
+        history[wire].extend(fed)
     states = {comp.name: comp.start for comp in order}
 
     def put(wire, payloads):
         history[wire].append(tuple(payloads))
 
     for index in range(slots):
-        for wire, feed in feeds.items():
-            try:
-                slot = next(feed)
-            except StopIteration:
-                raise ModelError(
-                    f"external input ended after {index} slots, {slots} requested") from None
-            if not isinstance(slot, tuple):
-                raise ModelError(f"external wire {wire!r} was fed a {type(slot).__name__} "
-                                 f"in slot {index}, not a tuple of payloads")
-            put(wire, slot)
         for comp in order:
             if len(comp.inputs) == 2:
                 first, second = (history[wire][index] for wire in comp.inputs)

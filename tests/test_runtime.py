@@ -297,6 +297,23 @@ def test_network_spec_rejects_bad_wiring():
         net.add_machine("wide", None, forwarder(), inputs=["w", "x", "y"], outputs=["z"])
 
 
+@pytest.mark.parametrize("inputs, outputs", [("ab", ["c"]), (["a"], "cd")])
+def test_network_spec_rejects_a_str_of_ports(inputs, outputs):
+    net = NetworkSpec()
+    with pytest.raises(ValueError, match="component 'one': ports must be a sequence of wire names"):
+        net.add_machine("one", None, forwarder(), inputs=inputs, outputs=outputs)
+    assert net.wire_order == ()
+
+
+def test_network_spec_rejects_a_second_initializer_of_a_wire():
+    net = NetworkSpec()
+    net.add_machine("fwd", None, forwarder(), inputs=["a"], outputs=["b"])
+    net.initialize("a", [Msg(1), Tick]).initialize("a", [])
+    with pytest.raises(ValueError, match="wire 'a' is already initialized"):
+        net.initialize("a", [Tick])
+    assert run_network(net, {"a": inject_ticks([(2,), ()])}, 2).slots["b"] == [(1,), (2,)]
+
+
 def test_network_rejects_missing_or_unknown_external_streams():
     net = NetworkSpec()
     net.add_machine("fwd", None, forwarder(), inputs=["a"], outputs=["b"])
@@ -316,6 +333,19 @@ def test_network_rejects_a_negative_slot_count():
         run_network(net, {"a": inject_ticks([()])}, -1)
     assert calls == []
     assert run_network(net, {"a": inject_ticks([()])}, 0).slots == {"a": [], "b": []}
+
+
+@pytest.mark.parametrize("count", [True, False, 3.0, "3", None])
+def test_a_slot_count_or_idle_tail_must_be_an_int_not_a_bool(count):
+    calls = []
+    net = NetworkSpec()
+    net.add_machine("fwd", None, _port_forwarder(calls, 1), inputs=["a"], outputs=["b"])
+    with pytest.raises(ValueError, match=f"slot count must be an integer, got {count!r}"):
+        run_network(net, {"a": inject_ticks([()] * 3)}, count)
+    assert calls == []
+    if count is not None:
+        with pytest.raises(ValueError, match="idle must be a non-negative integer or None"):
+            TimedStream(tuple, count)
 
 
 def _port_forwarder(calls, n_outputs):
@@ -539,6 +569,26 @@ def _fed_stream(slots, idle=0):
     return TimedStream(source, idle)
 
 
+def _recording(calls):
+    # For `rewire`: a delta that appends each call's item, or each slot its
+    # slot form is called with, to `calls`, and keeps the slot form.
+    def wrap(delta):
+        def step(state, item):
+            calls.append(item)
+            return delta(state, item)
+
+        form = getattr(delta, "_slot_form", None)
+        if form is not None:
+            def slot_form(state, payloads, tick=True):
+                calls.append(payloads)
+                return form(state, payloads, tick)
+
+            step._slot_form = slot_form
+        return step
+
+    return wrap
+
+
 def _slot_by_slot(step, start, slots):
     # (state, output payloads) after each slot of `step`, or the type and
     # message of the error it raises.
@@ -632,12 +682,17 @@ def _outcome(evaluate, net, streams, slots):
 @settings(max_examples=300, deadline=None)
 @given(stateful_networks())
 def test_fast_forward_matches_full_stepping_on_random_networks(full_stepping, reference_run,
-                                                                network):
+                                                                rewire, network):
     net, external, slots = network
+    calls = []
+    net = rewire(net, delta=_recording(calls))
     streams = {w: _fed_stream(s) for w, s in external.items()}
     fast = _outcome(_wire_histories, net, streams, slots)
     assert fast == _outcome(_wire_histories, full_stepping(net), streams, slots)
     assert fast == _outcome(reference_run, net, streams, slots)
+    # An input error comes out before any delta is called, on all three.
+    if isinstance(fast, tuple) and (fast[0] == "KeyError" or fast[1].startswith("external ")):
+        assert calls == []
 
 
 def test_fast_forward_still_fires_a_long_armed_timer(full_stepping):
@@ -665,18 +720,23 @@ def test_fast_forward_resumes_on_late_input_and_keeps_short_input_errors():
         run_network(net, {"a": inject_ticks(fed)}, 60)
 
 
-# ----------------------------------------- input errors in their own rounds
+# ------------------------------------------- input errors before any delta
 
 
-@pytest.mark.parametrize("fussy, error, message, seen", [
-    (True, ModelError, "fussy about 2", [0, 1, 2]),
-    (False, KeyError, "stream fault in slot 5", [0, 1, 2, 3, 4]),
-], ids=["delta-fails-first", "stream-fails"])
-def test_a_stream_error_surfaces_in_its_own_round(reference_run, fussy, error, message, seen):
-    # Read ahead or not, a delta failing in slot 2 beats the stream failing
-    # in slot 5, and without it no delta is called for slot 5 or later.
+def _raised(rewire, evaluate, net, streams, slots):
+    # The error `evaluate` raises on the network with every delta recorded,
+    # as (type, message), and the recorded calls.
+    calls = []
+    with pytest.raises(Exception) as raised:
+        evaluate(rewire(net, delta=_recording(calls)), streams, slots)
+    return (type(raised.value), raised.value.args[0]), calls
+
+
+@pytest.mark.parametrize("fussy", [True, False], ids=["delta-fails-first", "stream-fails"])
+def test_a_stream_error_comes_before_any_delta(reference_run, rewire, fussy):
+    # The stream fails in slot 5, and a fussy delta would fail in slot 2:
+    # the stream's error wins all the same, and no delta is called.
     def forward(state, p):
-        recorded.append(p)
         if fussy and p == 2:
             raise ModelError("fussy about 2")
         return state, (p,)
@@ -685,28 +745,36 @@ def test_a_stream_error_surfaces_in_its_own_round(reference_run, fussy, error, m
     net.add_machine("fwd", None, lift_timed(forward), inputs=["a"], outputs=["b"])
     fed = [(0,), (1,), (2,), (3,), (4,), FAULT, (6,), (7,)]
     for evaluate in (run_network, reference_run):
-        recorded = []
-        with pytest.raises(error, match=message):
-            evaluate(net, {"a": _fed_stream(fed)}, 8)
-        assert recorded == seen
+        assert _raised(rewire, evaluate, net, {"a": _fed_stream(fed)}, 8) == (
+            (KeyError, "stream fault in slot 5"), [])
 
 
-@pytest.mark.parametrize("fed_a, fed_b, error", [
-    # In one round the first wire in feed order wins; an earlier round wins
-    # whatever the order.
-    ([(1,), FAULT], [(), [2]], KeyError),
-    ([(1,), [2]], [(), FAULT], ModelError),
-    ([(1,), (), FAULT], [(), [2]], ModelError),
-    ([(1,), [2]], [(), (), FAULT], ModelError),
+NOT_A_TUPLE = "external wire {!r} was fed a {} in slot 1, not a tuple of payloads"
+
+
+@pytest.mark.parametrize("fed_a, fed_b, error, message", [
+    # The first faulty wire in feed order wins, whatever the slot.
+    ([(1,), FAULT], [(), [2]], KeyError, "stream fault in slot 1"),
+    ([(1,), [2]], [(), FAULT], ModelError, NOT_A_TUPLE.format("a", "list")),
+    ([(1,), (), FAULT], [(), [2]], KeyError, "stream fault in slot 2"),
+    ([(1,), [2]], [(), (), FAULT], ModelError, NOT_A_TUPLE.format("a", "list")),
     # A fed slot that is not even iterable.
-    ([(1,), None], [(), ()], ModelError),
-])
-def test_input_errors_come_out_by_round_then_feed_order(reference_run, fed_a, fed_b, error):
+    ([(1,), None], [(), ()], ModelError, NOT_A_TUPLE.format("a", "NoneType")),
+    # In one wire, the stream's own error beats an earlier slot that is not
+    # a tuple: the stream is read before its slots are checked.
+    ([(1,), [2], FAULT], [(), ()], KeyError, "stream fault in slot 2"),
+    # A short wire ahead of a faulty one.
+    ([(1,)], [(), [2]], ModelError, "external input ended after 1 slots, 3 requested"),
+], ids=["fed_a0-fed_b0-KeyError", "fed_a1-fed_b1-ModelError", "fed_a2-fed_b2-KeyError",
+        "fed_a3-fed_b3-ModelError", "fed_a4-fed_b4-ModelError", "list-before-fault",
+        "short-before-faulty"])
+def test_input_errors_come_out_by_round_then_feed_order(reference_run, rewire, fed_a, fed_b,
+                                                        error, message):
     net = NetworkSpec()
     net.add_machine("c", 0, lift_timed(_counting(1)), inputs=["a", "b"], outputs=["x"])
     for evaluate in (run_network, reference_run):
-        with pytest.raises(error, match="slot 1"):
-            evaluate(net, {"a": _fed_stream(fed_a), "b": _fed_stream(fed_b)}, 3)
+        streams = {"a": _fed_stream(fed_a), "b": _fed_stream(fed_b)}
+        assert _raised(rewire, evaluate, net, streams, 3) == ((error, message), [])
 
 
 # ------------------------------------------- quiet stretches stepped, tails cut
@@ -777,18 +845,14 @@ def test_quiet_stretches_are_padded_to_the_reference_histories(reference_run, in
     (FAULT, KeyError, "stream fault in slot 20"),
     (None, ModelError, "external wire 'a' was fed a NoneType in slot 20, not a tuple of payloads"),
 ], ids=["stream-raises", "yields-None"])
-def test_an_input_error_after_the_network_settled_still_raises(reference_run, bad, error,
-                                                               message):
-    # The network settles after slot 3 and has no non-empty fed slot left,
-    # so it stops there; the stream fails in slot 20 all the same.
+def test_an_input_error_after_the_network_settled_still_raises(reference_run, rewire, bad,
+                                                               error, message):
+    # The network would settle after slot 3, long before the stream fails
+    # in slot 20; the error is raised all the same, before any delta.
     fed = [(2,)] + [()] * 19 + [bad] + [()] * 9
-    ticks = []
-    with pytest.raises(error) as raised:
-        run_network(_bouncing(ticks, ONE_TICK), {"a": _fed_stream(fed)}, 30)
-    assert message in str(raised.value) and len(ticks) == 4
-    with pytest.raises(error) as expected:
-        reference_run(_bouncing([], ONE_TICK), {"a": _fed_stream(fed)}, 30)
-    assert str(raised.value) == str(expected.value)
+    for evaluate in (run_network, reference_run):
+        net, streams = _bouncing([], ONE_TICK), {"a": _fed_stream(fed)}
+        assert _raised(rewire, evaluate, net, streams, 30) == ((error, message), [])
 
 
 def test_an_initialized_external_wire_reads_its_last_fed_payload_late(reference_run):
