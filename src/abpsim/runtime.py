@@ -276,11 +276,15 @@ class NetworkSpec:
         if not 1 <= len(inputs) <= 2 or not 1 <= len(outputs) <= 2:
             raise ValueError("components support one or two ports per direction")
         comp = _Component(name, start, delta, tuple(inputs), tuple(outputs))
-        for wire in comp.inputs:
-            self._note_wire(wire)
         for wire in comp.outputs:
             if wire in self._producers:
                 raise ValueError(f"wire {wire!r} already produced by {self._producers[wire]!r}")
+        if len(comp.outputs) == 2 and comp.outputs[0] == comp.outputs[1]:
+            raise ValueError(f"component {name!r} lists output wire {comp.outputs[0]!r} twice")
+        # Every check passed: only now does the call change the spec.
+        for wire in comp.inputs:
+            self._note_wire(wire)
+        for wire in comp.outputs:
             self._producers[wire] = name
             self._note_wire(wire)
         self._components[name] = comp

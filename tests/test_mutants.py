@@ -128,8 +128,7 @@ def _duplicating_medium(state, payload):
 
 
 class _Placid:
-    """A state box equal to any other box: the inverse of conftest's
-    `Restless`."""
+    """A state box equal to any other box."""
 
     __slots__ = ("state",)
     __hash__ = None

@@ -3,7 +3,6 @@ import json
 import random
 import tracemalloc
 from collections import Counter
-from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -545,14 +544,6 @@ def test_run_scenario_reproduces_the_pinned_wire_histories():
 # ------------------------------------------------- quiet-slot fast-forward
 
 
-@contextmanager
-def abp_networks_rewired(rewrap):
-    """Within the block, run_scenario runs `rewrap` of each ABP network."""
-    with mock.patch.object(testkit, "build_abp_network",
-                           lambda *args, **kwargs: rewrap(build_abp_network(*args, **kwargs))):
-        yield
-
-
 def _scenario_outcome(scenario):
     # Every wire history, or the type and message of the error raised.
     try:
@@ -571,18 +562,10 @@ def _reference_outcome(scenario, reference_run):
         return type(exc).__name__, str(exc)
 
 
-def _assert_fast_forward_matches_references(scenario, full_stepping, reference_run):
-    fast = _scenario_outcome(scenario)
-    with abp_networks_rewired(full_stepping):
-        assert _scenario_outcome(scenario) == fast
-    assert _reference_outcome(scenario, reference_run) == fast
-
-
 @pytest.mark.parametrize("name", BUNDLED_SCENARIO_NAMES)
-def test_fast_forward_matches_full_stepping_on_bundled_scenarios(full_stepping, reference_run,
-                                                                  name):
-    _assert_fast_forward_matches_references(bundled_scenario(name), full_stepping,
-                                            reference_run)
+def test_fast_forward_matches_full_stepping_on_bundled_scenarios(reference_run, name):
+    scenario = bundled_scenario(name)
+    assert _scenario_outcome(scenario) == _reference_outcome(scenario, reference_run)
 
 
 oracle_specs = st.one_of(
@@ -613,9 +596,8 @@ def abp_scenarios(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(abp_scenarios())
-def test_fast_forward_matches_full_stepping_on_abp_scenarios(full_stepping, reference_run,
-                                                             scenario):
-    _assert_fast_forward_matches_references(scenario, full_stepping, reference_run)
+def test_fast_forward_matches_full_stepping_on_abp_scenarios(reference_run, scenario):
+    assert _scenario_outcome(scenario) == _reference_outcome(scenario, reference_run)
 
 
 def test_runs_stop_at_quiescence_and_pad_their_view_to_the_reference(reference_run):
@@ -664,7 +646,8 @@ def test_fast_forward_calls_deltas_only_in_busy_slots(rewire):
 
         return step
 
-    with abp_networks_rewired(lambda net: rewire(net, delta=counted)):
+    with mock.patch.object(testkit, "build_abp_network", lambda *args, **kwargs: rewire(
+            build_abp_network(*args, **kwargs), delta=counted)):
         run, _ = run_scenario(scenario)
     wires = run.slots
     assert [p for slot in wires["out"] for p in slot] == [1]
