@@ -207,7 +207,7 @@ def _filled(text: str, deferred: List[Tuple[Any, str]]) -> Iterator[str]:
         else:
             # Rebinding `inner` drops the last run before this one is made.
             inner: list = []
-            text = _json_value(_wires_json(run_scenario(value)[0]), newline, inner)
+            text = _json_value(_wires_json(run_scenario(value)), newline, inner)
             yield from _filled(text, inner)
         yield piece
 
@@ -393,9 +393,9 @@ def cmd_simulate(args) -> int:
     else:
         raise UsageError("simulate needs --scenario or --seed")
 
-    run, warnings = run_scenario(scenario)
-    for warning in warnings:
+    for warning in scenario.fairness_warnings():
         _warn(warning)
+    run = run_scenario(scenario)
 
     render = _trace_json if args.format == "json" else _trace_text
     _emit(render(scenario, run), args.out)
@@ -456,34 +456,35 @@ def _suite_rows(table_cases, path_cases, deltas) -> List[dict]:
 def _identity_row(scenario: ScenarioSpec) -> dict:
     row: Dict[str, Any] = {"kind": "identity", "id": scenario.name or "(unnamed)",
                            "machine": "abp"}
+    details = []
     try:
         result = check_identity(scenario)
     except MemoryError:
         raise
     except Exception as exc:  # a model that raises fails its row
         row["status"] = "fail"
-        row["detail"] = f"{type(exc).__name__}: {exc}"
-        return row
+        details.append(f"{type(exc).__name__}: {exc}")
+    else:
+        row["status"] = result.status.value
+        if result.status is not IdentityStatus.PASS:
+            sent = format_value(result.expected, strict=False)
+            got = format_value(result.actual, strict=False)
+            detail = f"sent {sent}, delivered {got}"
+            if result.divergence is not None:
+                detail += f", first divergence at message {result.divergence}"
+            details.append(detail)
+        if result.status is IdentityStatus.FAIL:
+            row["wires"] = scenario  # `_json_chunks` writes its run's wires
 
-    if result.status is IdentityStatus.PASS and not result.warnings:
-        row["status"] = "pass"
-        return row
-    if result.status is IdentityStatus.PASS:
-        row["status"] = "fail"
-        row["detail"] = "fairness warning: " + "; ".join(result.warnings)
-        return row
-
-    row["status"] = result.status.value
-    sent = format_value(result.expected, strict=False)
-    got = format_value(result.actual, strict=False)
-    detail = f"sent {sent}, delivered {got}"
-    if result.divergence is not None:
-        detail += f", first divergence at message {result.divergence}"
-    if result.warnings:
-        detail += "; fairness warning: " + "; ".join(result.warnings)
-    row["detail"] = detail
-    if result.status is IdentityStatus.FAIL:
-        row["wires"] = scenario  # `_json_chunks` writes its run's wires
+    # A scenario's warnings do not depend on its run, so a row whose run
+    # raised carries them too, and a scenario that warns does not pass.
+    warnings = scenario.fairness_warnings()
+    if warnings:
+        details.append("fairness warning: " + "; ".join(warnings))
+        if row["status"] == "pass":
+            row["status"] = "fail"
+    if details:
+        row["detail"] = "; ".join(details)
     return row
 
 

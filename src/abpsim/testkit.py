@@ -26,7 +26,7 @@ import random
 from collections import Counter
 from enum import Enum
 from itertools import chain
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .abp import RESEND_TIMEOUT, OracleSpec, build_abp_network
 from .runtime import Delta, NetworkRun, run_network
@@ -362,6 +362,12 @@ class ScenarioSpec(_Value):
     def payloads(self) -> Tuple[int, ...]:
         return tuple(p for slot in self.payload_slots for p in slot)
 
+    def fairness_warnings(self) -> Tuple[str, ...]:
+        """The labelled fairness warnings of the data oracle, then the ack oracle."""
+        warnings = (("data", self.data_oracle.fairness_warning()),
+                    ("ack", self.ack_oracle.fairness_warning()))
+        return tuple(f"{label} oracle: {warning}" for label, warning in warnings if warning)
+
     def input_stream(self) -> TimedStream:
         """The input wire: the payload slots, then an idle tail of empty
         slots up to the horizon."""
@@ -545,14 +551,8 @@ class IdentityResult(_Value):
         set_warnings(self, warnings)
 
 
-def run_scenario(scenario: ScenarioSpec) -> Tuple[NetworkRun, Tuple[str, ...]]:
-    """Run the composed protocol over the scenario's horizon.  Returns the
-    recorded wires and the fairness warnings of the scenario's oracles."""
-    warnings = []
-    for label, oracle in (("data", scenario.data_oracle), ("ack", scenario.ack_oracle)):
-        warning = oracle.fairness_warning()
-        if warning:
-            warnings.append(f"{label} oracle: {warning}")
+def run_scenario(scenario: ScenarioSpec) -> NetworkRun:
+    """Run the composed protocol over the scenario's horizon."""
     net = build_abp_network(
         scenario.data_oracle,
         scenario.ack_oracle,
@@ -560,14 +560,13 @@ def run_scenario(scenario: ScenarioSpec) -> Tuple[NetworkRun, Tuple[str, ...]]:
         sender_bit=scenario.sender_bit,
         receiver_bit=scenario.receiver_bit,
     )
-    run = run_network(net, {"input": scenario.input_stream()}, scenario.horizon)
-    return run, tuple(warnings)
+    return run_network(net, {"input": scenario.input_stream()}, scenario.horizon)
 
 
 def check_identity(scenario: ScenarioSpec) -> IdentityResult:
     """Run the composed protocol on a scenario and compare untimed output
     against untimed input; a result that does not pass keeps the run."""
-    run, warnings = run_scenario(scenario)
+    run = run_scenario(scenario)
     expected = scenario.payloads()
     actual = tuple(chain.from_iterable(run.stored["out"]))
 
@@ -588,5 +587,5 @@ def check_identity(scenario: ScenarioSpec) -> IdentityResult:
         actual=actual,
         divergence=divergence,
         run=run,
-        warnings=warnings,
+        warnings=scenario.fairness_warnings(),
     )

@@ -54,6 +54,16 @@ def rewire():
     return _rewire
 
 
+# The most payloads `_reference_run` lets the components of one network
+# produce in all: over 10 times the most that a sound model makes.  The
+# random networks of tests/test_runtime.py and the drawn ABP scenarios of
+# tests/test_testkit.py reached at most 4,858 and 182 (16,000 examples
+# each), and no other test more than 1,764.  A broken model whose traffic
+# grows without bound fails its differential at the budget instead of
+# filling memory.
+PAYLOAD_BUDGET = 50_000
+
+
 def _reference_run(spec, external, slots):
     """Every wire's history over `slots` slots: the least fixed point of
     the network's stream equations, evaluated on demand, and the reference
@@ -69,7 +79,9 @@ def _reference_run(spec, external, slots):
     stepping its producer through round i, and a component asked for the
     round it is stepping is a cycle with no delay: DeadlockDetected.  Each
     delta gets, through `run_machine`, the slot's messages (tagged
-    FromA/FromB with two inputs) and then one tick."""
+    FromA/FromB with two inputs) and then one tick.  Once the components
+    have produced more than PAYLOAD_BUDGET payloads in all, it raises
+    AssertionError."""
     history = {wire: [] for wire in spec.wire_order}
     for wire, prefilled in spec._initializers.items():
         history[wire].extend(prefilled)
@@ -87,6 +99,7 @@ def _reference_run(spec, external, slots):
     states = {comp.name: comp.start for comp in components}
     rounds = dict.fromkeys(states, 0)  # rounds each component has stepped
     stepping = []  # the components mid-round, outermost first
+    budget = PAYLOAD_BUDGET
 
     def slot(wire, index):
         if len(history[wire]) == index:
@@ -94,6 +107,7 @@ def _reference_run(spec, external, slots):
         return history[wire][index]
 
     def step(comp, index):
+        nonlocal budget
         if comp.name in stepping:
             cycle = sorted(stepping[stepping.index(comp.name):])
             raise DeadlockDetected(f"components {cycle} form a cycle with no tick-bearing "
@@ -110,6 +124,10 @@ def _reference_run(spec, external, slots):
             raise ModelError(f"component {comp.name!r} emitted {ticks} tick(s) in one "
                              f"slot; expected exactly one, last")
         payloads = tuple(item.payload for item in produced[:-1])
+        budget -= len(payloads)
+        if budget < 0:
+            raise AssertionError(f"the components produced more than {PAYLOAD_BUDGET} "
+                                 f"payloads: a model whose traffic runs away")
         if len(comp.outputs) == 1:
             history[comp.outputs[0]].append(payloads)
         else:

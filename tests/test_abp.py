@@ -355,8 +355,8 @@ def test_compose_observation_is_repeatable():
     scenario = ScenarioSpec(name="repeat", payload_slots=((1,),), horizon=8,
                             data_oracle=OracleSpec.cyclic([False, True]),
                             ack_oracle=OracleSpec.cyclic([True]))
-    first, _ = run_scenario(scenario)
-    second, _ = run_scenario(scenario)
+    first = run_scenario(scenario)
+    second = run_scenario(scenario)
     assert first.slots == second.slots
     assert all(len(history) == 8 for history in first.slots.values())
     assert [p for slot in first.slots["out"] for p in slot] == [1]

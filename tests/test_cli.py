@@ -157,6 +157,25 @@ def test_simulate_warns_about_unfair_oracles(tmp_path, capsys):
     assert "warning" in err and "no pass bits" in err
 
 
+# Two payloads and two data bits, the last a drop: the warned-of tail loses
+# the second send, and its resend asks the data medium for a third bit.
+_DRY_ORACLE = {
+    "name": "dry", "payload_slots": [[1], [2]], "horizon": 20,
+    "data_oracle": {"kind": "explicit", "bits": [True, False]},
+    "ack_oracle": {"kind": "cyclic", "bits": [True]},
+}
+_DRY_WARNING = ("data oracle: explicit oracle ends in 1 drop bit(s); messages reaching that "
+                "tail are lost")
+_DRY_ERROR = "OracleExhausted: explicit oracle of 2 bits, bit 2 requested"
+
+
+def test_simulate_warns_before_a_run_that_raises(tmp_path, capsys):
+    path = tmp_path / "dry.json"
+    path.write_text(json.dumps(_DRY_ORACLE))
+    assert run_cmd(capsys, "simulate", "--scenario", str(path)) == \
+        (1, "", f"warning: {_DRY_WARNING}\nerror: {_DRY_ERROR}\n")
+
+
 @pytest.mark.parametrize("oracle", [
     {"kind": "bernoulli", "pass_probability": "x", "seed": 1},
     {"kind": "bernoulli", "pass_probability": True, "seed": 1},
@@ -254,6 +273,17 @@ def test_test_reports_a_model_error_as_a_failing_row(tmp_path, capsys):
     assert len(others) == 18 and all(other["status"] == "pass" for other in others)
 
 
+def test_a_raising_identity_row_carries_the_fairness_warning(tmp_path, capsys):
+    path = tmp_path / "dry.json"
+    path.write_text(json.dumps(_DRY_ORACLE))
+    code, out, err = run_cmd(capsys, "test", "--scenario", str(path), "--no-bundled",
+                             "--format", "json")
+    assert (code, err) == (1, "")
+    [row] = json.loads(out)["verdicts"]
+    assert row == {"kind": "identity", "machine": "abp", "id": "dry", "status": "fail",
+                   "detail": f"{_DRY_ERROR}; fairness warning: {_DRY_WARNING}"}
+
+
 def test_test_reports_a_raising_model_as_failing_rows(capsys, monkeypatch):
     # A sender that raises IndexError once its buffer holds more than three
     # payloads: an exception no model-error class names.
@@ -348,7 +378,7 @@ def test_a_fail_row_keeps_its_scenario_and_writes_the_wires_of_its_run():
     # The row's detail text takes 8 kB; the run's slot lists alone, 96 kB.
     assert held < 50_000
     # Its document holds the run's wires, run again as the row is written.
-    run, _ = run_scenario(_BIG_FAIL)
+    run = run_scenario(_BIG_FAIL)
     plain = [{"name": wire, "slots": [[format_value(p, strict=False) for p in slot]
                                       for slot in run.slots[wire]]} for wire in run.wire_order]
     doc = {"meta": {}, "verdicts": [row]}
@@ -987,7 +1017,7 @@ def _render_peak(render, horizon) -> int:
     run to `horizon` slots; the run itself is made before tracing starts."""
     scenario = ScenarioSpec.from_dict({**bundled_scenario("single_drop").to_dict(),
                                        "horizon": horizon})
-    run, _ = run_scenario(scenario)
+    run = run_scenario(scenario)
     tracemalloc.start()
     try:
         cli._emit(render(scenario, run), os.devnull)

@@ -912,6 +912,17 @@ def test_a_network_that_never_settles_runs_to_its_horizon(reference_run, rewire)
     assert run.slots == reference_run(_bouncing([], ONE_TICK), {"a": inject_ticks(fed)}, 30)
 
 
+def test_the_reference_stops_a_network_whose_traffic_runs_away(reference_run):
+    # Each payload comes back twice one slot later: 2**n payloads in slot n,
+    # past the reference's payload budget within 16 slots.
+    net = NetworkSpec()
+    net.add_machine("twice", None, lift_timed(lambda state, p: (state, (p, p))),
+                    inputs=["loop"], outputs=["loop"])
+    net.initialize("loop", [Msg(1), Tick])
+    with pytest.raises(AssertionError, match="produced more than 50000 payloads"):
+        reference_run(net, {}, 40)
+
+
 # ----------------------------------------------- idle tails filled, not read
 
 

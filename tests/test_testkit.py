@@ -498,7 +498,7 @@ def test_identity_reports_a_too_short_horizon_as_inconclusive():
     assert result.status is IdentityStatus.INCONCLUSIVE_HORIZON
     assert result.actual == () and result.expected == (1,)
     assert result.divergence is None
-    assert result.run == run_scenario(scenario)[0]  # the run kept for diagnosis
+    assert result.run == run_scenario(scenario)  # the run kept for diagnosis
 
 
 def test_identity_fails_hard_on_divergence_with_traces():
@@ -506,7 +506,7 @@ def test_identity_fails_hard_on_divergence_with_traces():
     assert result.status is IdentityStatus.FAIL
     assert result.divergence == 0
     assert result.run.wire_order == ("input", "am", "ds", "dm", "as", "out")
-    assert result.run == run_scenario(bundled_scenario("mismatched_bits"))[0]
+    assert result.run == run_scenario(bundled_scenario("mismatched_bits"))
 
 
 def test_identity_carries_fairness_warnings():
@@ -519,6 +519,38 @@ def test_identity_carries_fairness_warnings():
     # oracle is flagged rather than silently tolerated.
     assert result.status is IdentityStatus.PASS
     assert any("ack oracle" in w for w in result.warnings)
+
+
+_NO_PASS = "explicit oracle contains no pass bits; nothing can ever be delivered"
+
+
+def _drop_tail(n):
+    return f"explicit oracle ends in {n} drop bit(s); messages reaching that tail are lost"
+
+
+@pytest.mark.parametrize("data, ack, expected", [
+    (OracleSpec.explicit([False, True]), OracleSpec.bernoulli(0.5, 1), ()),
+    (OracleSpec.explicit([True, False]), OracleSpec.cyclic([True]),
+     (f"data oracle: {_drop_tail(1)}",)),
+    (OracleSpec.cyclic([False, True]), OracleSpec.explicit([True, False, False, False]),
+     (f"ack oracle: {_drop_tail(3)}",)),
+    (OracleSpec.explicit([False, False]), OracleSpec.explicit([True, False, False]),
+     (f"data oracle: {_NO_PASS}", f"ack oracle: {_drop_tail(2)}")),
+    (OracleSpec.explicit([]), OracleSpec.explicit([False]),
+     (f"data oracle: {_NO_PASS}", f"ack oracle: {_NO_PASS}")),
+], ids=["none", "data only", "ack only", "data then ack", "no pass bits"])
+def test_fairness_warnings_are_pinned(data, ack, expected):
+    assert small_scenario(data_oracle=data, ack_oracle=ack).fairness_warnings() == expected
+
+
+def test_identity_takes_its_warnings_from_the_scenario():
+    scenarios = [bundled_scenario(name) for name in BUNDLED_SCENARIO_NAMES]
+    scenarios += [generate_scenario(seed) for seed in range(100)]
+    scenarios.append(small_scenario(payload_slots=((1,),), horizon=5,
+                                    data_oracle=OracleSpec.explicit([True, False]),
+                                    ack_oracle=OracleSpec.explicit([False, False, False])))
+    for scenario in scenarios:
+        assert check_identity(scenario).warnings == scenario.fairness_warnings()
 
 
 # sha256 of the canonical JSON of every wire history of the 100 criterion-3
@@ -535,7 +567,7 @@ def test_run_scenario_reproduces_the_pinned_wire_histories():
     scenarios += [bundled_scenario(name) for name in BUNDLED_SCENARIO_NAMES]
     doc = []
     for scenario in scenarios:
-        run, _ = run_scenario(scenario)
+        run = run_scenario(scenario)
         doc.append([scenario.name, [[wire, run.slots[wire]] for wire in run.wire_order]])
     canonical = json.dumps(doc, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == PINNED_WIRES_SHA256
@@ -547,7 +579,7 @@ def test_run_scenario_reproduces_the_pinned_wire_histories():
 def _scenario_outcome(scenario):
     # Every wire history, or the type and message of the error raised.
     try:
-        run, _ = run_scenario(scenario)
+        run = run_scenario(scenario)
     except Exception as exc:  # the differential compares errors too
         return type(exc).__name__, str(exc)
     return run.slots
@@ -603,7 +635,7 @@ def test_fast_forward_matches_full_stepping_on_abp_scenarios(reference_run, scen
 def test_runs_stop_at_quiescence_and_pad_their_view_to_the_reference(reference_run):
     for seed in range(100):
         scenario = generate_scenario(seed)
-        run, _ = run_scenario(scenario)
+        run = run_scenario(scenario)
         [quiet] = {len(stored) for stored in run.stored.values()}
         # The generated horizons leave room after the last delivery.
         assert quiet < scenario.horizon == run.horizon
@@ -648,7 +680,7 @@ def test_fast_forward_calls_deltas_only_in_busy_slots(rewire):
 
     with mock.patch.object(testkit, "build_abp_network", lambda *args, **kwargs: rewire(
             build_abp_network(*args, **kwargs), delta=counted)):
-        run, _ = run_scenario(scenario)
+        run = run_scenario(scenario)
     wires = run.slots
     assert [p for slot in wires["out"] for p in slot] == [1]
     busy = sum(1 for index in range(scenario.horizon)
