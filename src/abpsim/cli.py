@@ -11,10 +11,11 @@ report that cannot be written to ``--out`` or stdout is one, and so is
 running out of memory).  JSON output is byte-deterministic for identical
 inputs: its bytes equal ``json.dumps(doc, sort_keys=True, indent=2)`` plus
 a newline.  `_emit` writes every document as it is rendered.  The JSON
-skeleton is joined by `_json_text`, with each wire's `slots` left out
-(a FAIL identity row's wires are run again when they are written); each
-wire, in both formats, is rendered and written a block of `_BLOCK`
-slots at a time, so no text holds a whole wire or document.  Each distinct
+skeleton is joined by `_json_text`, with each wire's `slots` and each list
+of more than `_BLOCK` items left out (a FAIL identity row's wires are run
+again when they are written); each wire, in both formats, and each long
+list is rendered and written a block of `_BLOCK` slots or items at a time,
+so no text holds a whole wire, long list or JSON document.  Each distinct
 slot of a wire is rendered once, while at most `_KEPT_TEXTS` texts are
 kept, and each block is joined with no interpreted step per slot.  A run
 stores no slot of its quiet tail; the tail is written as the text of one
@@ -105,8 +106,8 @@ def _rendered_slots(slots, render, texts: dict) -> List[str]:
     return list(map(texts.__getitem__, keys))
 
 
-# Slots rendered per piece of a wire's text: the most of a wire that any one
-# text holds.
+# Slots rendered per piece of a wire's text, and items per piece of a long
+# JSON list: the most of a wire or a list that any one text holds.
 _BLOCK = 1024
 # Most distinct slot texts kept from one block of a wire for the next ones.
 _KEPT_TEXTS = 4 * _BLOCK
@@ -190,9 +191,10 @@ _MARK = "\x00"
 
 def _json_chunks(doc: dict) -> Iterator[str]:
     """The JSON text of `doc`, as `_json_text` gives it, in pieces.  Each
-    `_Slots` and `ScenarioSpec` in it is rendered at its `_MARK`'s depth as
-    the pieces are consumed: a scenario as the `wires` list of its run,
-    which is run again there and dropped once written."""
+    `_Slots`, `ScenarioSpec` and list of more than `_BLOCK` items in it is
+    rendered at its `_MARK`'s depth as the pieces are consumed: a scenario
+    as the `wires` list of its run, which is run again there and dropped
+    once written, and a long list a block of `_BLOCK` items at a time."""
     deferred: List[Tuple[Any, str]] = []
     return _filled(_json_text(doc, deferred), deferred)
 
@@ -204,19 +206,35 @@ def _filled(text: str, deferred: List[Tuple[Any, str]]) -> Iterator[str]:
     for (value, newline), piece in zip(deferred, pieces):
         if type(value) is _Slots:
             yield from _slots_json(value.slots, value.length, newline)
-        else:
+        elif type(value) is ScenarioSpec:
             # Rebinding `inner` drops the last run before this one is made.
             inner: list = []
             text = _json_value(_wires_json(run_scenario(value)), newline, inner)
             yield from _filled(text, inner)
+        else:
+            yield from _list_json(value, newline)
         yield piece
+
+
+def _list_json(value, newline: str) -> Iterator[str]:
+    """The JSON text of a list of more than `_BLOCK` items, in pieces of
+    `_BLOCK` items, each with the deferred values it holds filled in."""
+    inner = newline + "  "
+    head, sep = "[" + inner, "," + inner
+    for start in range(0, len(value), _BLOCK):
+        deferred: list = []
+        text = _joined(head, _items(value[start:start + _BLOCK], inner, deferred), sep, "")
+        yield from _filled(text, deferred)
+        head = sep
+    yield newline + "]"
 
 
 def _json_text(doc: dict, deferred: Optional[list] = None) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte,
     for documents of str-keyed dicts, lists, tuples, str, int, bool, None
-    and float; each `_Slots` or `ScenarioSpec` becomes a `_MARK`, it and
-    the newline of its line appended to `deferred`.  The stdlib encodes
+    and float; each `_Slots`, `ScenarioSpec` or, if `deferred` is given,
+    list or tuple of more than `_BLOCK` items becomes a `_MARK`, it and the
+    newline of its line appended to `deferred`.  The stdlib encodes
     indented JSON in pure Python; this writer makes one call per container
     and none per string or int, hands every other leaf to `json.dumps`, and
     joins each container, the final newline included, in one `join`."""
@@ -244,16 +262,24 @@ def _members(value: dict, inner: str, deferred: Optional[list]) -> List[str]:
     return members
 
 
+def _items(values, inner: str, deferred: Optional[list]) -> List[str]:
+    """The texts of a list's items, each starting on a line indented `inner`."""
+    return [_encode_str(item) if type(item) is str else _json_value(item, inner, deferred)
+            for item in values]
+
+
 def _json_value(value, newline: str, deferred: Optional[list]) -> str:
     """The indent-2 JSON text of `value`; `newline` is a newline and the
     indent of the line `value` starts on."""
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        if deferred is not None and len(value) > _BLOCK:
+            deferred.append((value, newline))
+            return _MARK
         inner = newline + "  "
-        items = [_encode_str(item) if type(item) is str
-                 else _json_value(item, inner, deferred) for item in value]
-        return _joined("[" + inner, items, "," + inner, newline + "]")
+        return _joined("[" + inner, _items(value, inner, deferred), "," + inner,
+                       newline + "]")
     if isinstance(value, dict):
         if not value:
             return "{}"

@@ -162,8 +162,15 @@ def parse_table(doc: Any, source: str = "<table>") -> List[TableCase]:
     value is checked in every record.  Each distinct literal text is parsed
     once per document: tables draw their states, inputs and outputs from a
     small alphabet, and every parsed value is immutable, so cases may share
-    one value object.
+    one value object.  `doc` is not changed.
     """
+    return _table_cases(doc, source, drop=False)
+
+
+def _table_cases(doc: Any, source: str, drop: bool) -> List[TableCase]:
+    """`parse_table` of `doc`; with `drop`, each record is replaced by None
+    in its list once its case is built, so that a caller who owns `doc`
+    holds no record and its case at once."""
     if isinstance(doc, dict):
         records = doc.get("cases")
         if not isinstance(records, list):
@@ -232,6 +239,8 @@ def parse_table(doc: Any, source: str = "<table>") -> List[TableCase]:
         outputs, start, item, expected = values
         cases.append(TableCase(machine, TransitionCase(label, start, item, expected, outputs),
                                record.get("note", record.get("comment", ""))))
+        if drop:
+            records[index] = None
     return cases
 
 
@@ -293,13 +302,14 @@ def _text_sharing_hook():
 def load_table_file(path) -> List[TableCase]:
     """The cases of the table file at `path`; a malformed file is a
     ValueError whose message starts with the path.  Equal machine names and
-    literal texts share one string while the file is decoded."""
+    literal texts share one string while the file is decoded, and each
+    record is dropped once its case is built."""
     source = str(path)
     try:
         doc = _load_json(path, _text_sharing_hook())
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
-    return parse_table(doc, source=source)
+    return _table_cases(doc, source, drop=True)
 
 
 def bundled_scenario(name: str) -> ScenarioSpec:

@@ -19,7 +19,6 @@ out of memory is not a verdict: a MemoryError propagates.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
@@ -27,6 +26,16 @@ from collections import Counter
 from enum import Enum
 from itertools import chain
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+
+# The builtin SHA-256, found as `abp` finds its SHA-512: importing `hashlib`
+# loads OpenSSL, which no output needs.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .abp import RESEND_TIMEOUT, OracleSpec, build_abp_network
 from .runtime import Delta, NetworkRun, run_network
@@ -455,7 +464,7 @@ def scenario_digest(scenario: ScenarioSpec) -> str:
     """Stable content digest of a scenario, independent of field order in
     the source file."""
     canonical = json.dumps(scenario.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return sha256(canonical.encode()).hexdigest()[:16]
 
 
 # Per-message residual failure probability the auto-sized horizon tolerates.

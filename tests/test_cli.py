@@ -31,7 +31,7 @@ from abpsim import (
     scenario_digest,
 )
 from abpsim import abp, cli
-from abpsim.golden import MACHINES, MachineBinding
+from abpsim.golden import BUNDLED_TABLE_NAMES, MACHINES, MachineBinding
 from abpsim.cli import run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -1012,6 +1012,74 @@ def test_wires_json_is_the_stdlib_encoding_of_its_literals(wires):
             " ".join([*slot, "~"]) for slot in wire).split(" ")
 
 
+_FAIL_ROW = cli._identity_row(bundled_scenario("mismatched_bits"))
+
+
+def _plain_literals(slots, length):
+    return [[format_value(p, strict=False) for p in slot] for slot in slots] + (
+        [[]] * (length - len(slots)))
+
+
+def _long_list(length):
+    """`length` items of every kind a document holds, with a FAIL identity
+    row and a `_Slots` on either side of the first block boundary and a
+    list of `_BLOCK` + 1 items in the second block; and the same list as
+    the stdlib encodes it."""
+    kinds = [7, "text", None, 0.5, True, {"b": [1, "x"], "a": {}}, [[], {"k": -1}], "",
+             ("tuple", 2)]
+    items = [kinds[i % len(kinds)] for i in range(length)]
+    plain = list(items)
+    run = run_scenario(bundled_scenario("mismatched_bits"))
+    wires = [{"name": wire, "slots": _plain_literals(run.stored[wire], run.horizon)}
+             for wire in run.wire_order]
+    slots = [(1,), (), (True, 2)]
+    for index, item, plain_item in [
+            (_BLOCK - 1, _FAIL_ROW, {**_FAIL_ROW, "wires": wires}),
+            (_BLOCK, cli._Slots(slots, 5), _plain_literals(slots, 5)),
+            (_BLOCK + 2, list(range(_BLOCK + 1)), list(range(_BLOCK + 1)))]:
+        if index < length:
+            items[index], plain[index] = item, plain_item
+    return items, plain
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("length", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_long_lists_are_the_stdlib_encoding_at_every_depth(length, depth):
+    items, plain = _long_list(length)
+    # The list one, two or three containers deep, as a tuple at depth two.
+    nest = [lambda v: {"list": v}, lambda v: {"list": (v, 1)},
+            lambda v: {"outer": {"list": [0, v]}}][depth - 1]
+    assert _document(nest(items)).split("\n") == _stdlib_lines(nest(plain))
+    # With nothing deferred, `_json_text` writes the same list in one text.
+    doc = nest(plain)
+    assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _repeated_bundled_table(path, count):
+    """A table file of `count` rows: the bundled rows repeated, each with a
+    unique id."""
+    rows = [row for name in BUNDLED_TABLE_NAMES
+            for row in json.loads((SRC / "abpsim" / "tables" / f"{name}.json").read_text(
+                encoding="utf-8"))["cases"]]
+    path.write_text(json.dumps([dict(rows[i % len(rows)], id=f"r{i}") for i in range(count)]),
+                    encoding="utf-8")
+
+
+def test_no_piece_of_a_long_report_holds_more_than_one_block(tmp_path, monkeypatch):
+    path = tmp_path / "table.json"
+    _repeated_bundled_table(path, 5000)
+    pieces = []
+    monkeypatch.setattr(cli, "_emit", lambda chunks, out_path: pieces.extend(chunks))
+    assert run(["coverage", "--no-bundled", "--tables", str(path), "--format", "json"]) == 0
+    doc = json.loads("".join(pieces))
+    rows = doc["verdicts"]
+    assert len(rows) == 5000
+    # A block of rows, at the depth of the document's rows.
+    block_text = max(len(json.dumps({"verdicts": rows[start:start + _BLOCK]}, sort_keys=True,
+                                    indent=2)) for start in range(0, len(rows), _BLOCK))
+    assert max(map(len, pieces)) <= block_text < len("".join(pieces)) / 4
+
+
 def _render_peak(render, horizon) -> int:
     """Peak traced bytes of writing the `simulate` document of single_drop,
     run to `horizon` slots; the run itself is made before tracing starts."""
@@ -1099,9 +1167,9 @@ def _isolated(path, *argv, cwd=None):
                           capture_output=True, text=True, timeout=60)
 
 
-def test_cli_import_loads_no_heavy_stdlib_modules():
-    # These cost about a third of the import on a cold start, and no output
-    # depends on them.
+def _modules_after_cli_import():
+    """The modules a fresh ``python -I -S`` interpreter holds once it has
+    imported `abpsim.cli`."""
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import abpsim.cli; "
             "print(' '.join(sorted(sys.modules)))")
     result = subprocess.run([sys.executable, "-B", "-I", "-S", "-c", code],
@@ -1109,7 +1177,20 @@ def test_cli_import_loads_no_heavy_stdlib_modules():
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.split())
     assert "abpsim.cli" in loaded
+    return loaded
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    # These cost about a third of the import on a cold start, and no output
+    # depends on them.
+    loaded = _modules_after_cli_import()
     assert sorted(loaded & {"dataclasses", "inspect", "ast", "dis", "importlib.resources"}) == []
+
+
+def test_cli_import_loads_no_openssl():
+    # Both digests come from the interpreter's builtin hash modules; OpenSSL
+    # raised the import's peak RSS by about 3.7 MB (Python 3.11).
+    assert "_hashlib" not in _modules_after_cli_import()
 
 
 def test_cli_runs_from_a_zip_of_the_package(tmp_path):
