@@ -50,6 +50,26 @@ RESEND_TIMEOUT = 3
 INITIAL_BIT = True
 
 
+def _seeded(text: str) -> Random:
+    """The C generator in the state `random.Random(text)` starts in: the
+    integer `random.seed` (version 2) derives from a str, with no Python
+    wrapper around it."""
+    data = text.encode()
+    return Random(int.from_bytes(data + sha512(data).digest(), "big"))
+
+
+def _below(getrandbits, n: int) -> int:
+    """`random.Random.randrange(n)` for an int ``n > 0``, drawn through
+    `getrandbits` as the stdlib's `_randbelow_with_getrandbits` draws it
+    (the same code in CPython 3.10 to 3.13): ``n.bit_length()`` bits,
+    drawn again while the result is not below `n`."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 class OracleExhausted(Exception):
     """An explicit finite oracle ran out of bits."""
 

@@ -15,7 +15,8 @@ skeleton is joined by `_json_text`, with each wire's `slots` and each list
 of more than `_BLOCK` items left out (a FAIL identity row's wires are run
 again when they are written); each wire, in both formats, and each long
 list is rendered and written a block of `_BLOCK` slots or items at a time,
-so no text holds a whole wire, long list or JSON document.  Each distinct
+as are the rows of a human `test` or `coverage` report, so no text holds a
+whole wire, long list, JSON document or human report.  Each distinct
 slot of a wire is rendered once, while at most `_KEPT_TEXTS` texts are
 kept, and each block is joined with no interpreted step per slot.  A run
 stores no slot of its quiet tail; the tail is written as the text of one
@@ -36,14 +37,14 @@ import argparse
 import gc
 import json
 import os
-import random
 import sys
 from collections import Counter
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import __version__
-from .abp import OracleExhausted
+from .abp import OracleExhausted, _below, _seeded
 from .golden import (
     BUNDLED_SCENARIO_NAMES,
     MACHINES,
@@ -527,19 +528,23 @@ def _test_scenarios(args) -> Tuple[List[ScenarioSpec], Optional[int]]:
             raise UsageError(f"--count must lie between 0 and {MAX_TEST_COUNT}")
         suite_seed = 0 if args.seed is None else args.seed
         _, horizon, drop = _inline_bounds(args)
-        rng = random.Random(f"suite:{suite_seed}")
+        # The seeds `random.Random(f"suite:{suite_seed}").randrange(2**32)`
+        # draws in turn.
+        bits = _seeded(f"suite:{suite_seed}").getrandbits
         for _ in range(args.count):
             scenarios.append(
-                _generate_checked(rng.randrange(2**32), (DEFAULT_MAX_PAYLOADS, horizon, drop))
+                _generate_checked(_below(bits, 2**32), (DEFAULT_MAX_PAYLOADS, horizon, drop))
             )
     if not args.scenario and args.count is None and not args.no_bundled:
         scenarios.extend(bundled_scenario(name) for name in POSITIVE_SCENARIO_NAMES)
     return scenarios, suite_seed
 
 
-def _rows_text(rows, style) -> List[str]:
-    lines = []
-    for row in rows:
+def _rows_text(rows, style) -> Iterator[str]:
+    """The human lines of `rows`, each ended by a newline, in pieces of
+    `_BLOCK` rows."""
+    lines: List[str] = []
+    for index, row in enumerate(rows, 1):
         status = row["status"]
         if status == "pass":
             tag = style("PASS", "32")
@@ -547,10 +552,14 @@ def _rows_text(rows, style) -> List[str]:
             tag = style("INCONCLUSIVE", "33")
         else:
             tag = style("FAIL", "31")
-        lines.append(f"{tag} {row['kind']} {row['machine']}/{row['id']}")
+        lines.append(f"{tag} {row['kind']} {row['machine']}/{row['id']}\n")
         if row.get("detail"):
-            lines.append(f"     {row['detail']}")
-    return lines
+            lines.append(f"     {row['detail']}\n")
+        if index % _BLOCK == 0:
+            yield "".join(lines)
+            lines = []
+    if lines:
+        yield "".join(lines)
 
 
 def cmd_test(args) -> int:
@@ -572,10 +581,9 @@ def cmd_test(args) -> int:
         chunks = _json_chunks(doc)
     else:
         style = _styler(to_file=args.out is not None)
-        lines = _rows_text(rows, style)
         summary = f"{passed} passed, {failed} failed of {len(rows)} cases"
-        lines.append(summary if failed else style(summary, "32"))
-        chunks = ["\n".join(lines) + "\n"]
+        chunks = chain(_rows_text(rows, style),
+                       [(summary if failed else style(summary, "32")) + "\n"])
     _emit(chunks, args.out)
     return 0 if failed == 0 else 1
 
@@ -638,10 +646,11 @@ def cmd_coverage(args) -> int:
                          f"{verdicts[name, 'fail']} fail")
             if report.unclassified:
                 lines.append(f"  unclassified steps: {report.unclassified} (test smell)")
-        if failed_cases:
-            lines.extend(_rows_text((row for row in rows if row["status"] != "pass"), style))
-            lines.append(f"{failed_cases} case(s) failed")
         chunks = ["\n".join(lines) + "\n"]
+        if failed_cases:
+            chunks = chain(chunks,
+                           _rows_text((row for row in rows if row["status"] != "pass"), style),
+                           [f"{failed_cases} case(s) failed\n"])
     _emit(chunks, args.out)
     return 0 if not incomplete and failed_cases == 0 else 1
 

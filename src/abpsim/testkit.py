@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from collections import Counter
 from enum import Enum
 from itertools import chain
@@ -37,7 +36,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .abp import RESEND_TIMEOUT, OracleSpec, build_abp_network
+from .abp import RESEND_TIMEOUT, OracleSpec, _below, _seeded, build_abp_network
 from .runtime import Delta, NetworkRun, run_network
 from .streams import TimedStream, _Value
 
@@ -481,6 +480,16 @@ def generate_scenario(seed: int,
     ceil(log(1e-6) / log(1 - pass_both)) end-to-end attempts available,
     each costing at most RESEND_TIMEOUT + 2 slots; the payload count is
     clamped so this never exceeds the horizon bound.
+
+    The scenario is defined by the draws of ``rng = random.Random(
+    f"scenario:{seed}")``, in this order: ``rng.uniform(0.0, bound)`` for
+    the data and then the ack drop probability, ``rng.randint(1, cap)``
+    payloads (none when the cap is 0), ``rng.randrange(2 * count)`` for
+    each payload's slot, then ``rng.randrange(10)`` for each payload, slot
+    by slot, and ``rng.randrange(2**32)`` for the data and then the ack
+    oracle seed.  They are taken straight from the C generator that
+    `random.Random` wraps, by the stdlib's own formulas, as the Bernoulli
+    oracles take their bits.
     """
     max_payloads, max_horizon, drop_bound = bounds
     if max_payloads < 0:
@@ -490,9 +499,10 @@ def generate_scenario(seed: int,
     if not 0.0 <= drop_bound < 1.0:
         raise ValueError("drop probability bound must lie in [0, 1)")
 
-    rng = random.Random(f"scenario:{seed}")
-    drop_data = rng.uniform(0.0, drop_bound)
-    drop_ack = rng.uniform(0.0, drop_bound)
+    rng = _seeded(f"scenario:{seed}")
+    bits = rng.getrandbits
+    drop_data = 0.0 + (drop_bound - 0.0) * rng.random()  # uniform(0.0, drop_bound)
+    drop_ack = 0.0 + (drop_bound - 0.0) * rng.random()
     pass_both = (1.0 - drop_data) * (1.0 - drop_ack)
     if pass_both >= 1.0:
         attempts = 1
@@ -501,7 +511,7 @@ def generate_scenario(seed: int,
     per_message = (RESEND_TIMEOUT + 2) * attempts
 
     cap = min(max_payloads, max_horizon // per_message)
-    count = rng.randint(1, cap) if cap >= 1 else 0
+    count = 1 + _below(bits, cap) if cap >= 1 else 0
     # Refuse an oversized scenario before drawing one arrival, as
     # ScenarioSpec would refuse it built: the horizon is at least `floor`.
     floor = min(max_horizon, count * per_message + 1)
@@ -512,14 +522,14 @@ def generate_scenario(seed: int,
         raise ValueError(f"scenario 'seed-{seed}': {count} payloads exceed the limit of "
                          f"{_PAYLOAD_LIMIT} payloads")
     window = max(1, 2 * count)
-    arrivals = sorted(rng.randrange(window) for _ in range(count))
+    arrivals = sorted(_below(bits, window) for _ in range(count))
     payload_slots: List[List[int]] = [[] for _ in range((arrivals[-1] + 1) if count else 0)]
     for slot in arrivals:
-        payload_slots[slot].append(rng.randrange(10))
+        payload_slots[slot].append(_below(bits, 10))
 
     horizon = max(1, min(max_horizon, len(payload_slots) + count * per_message))
-    data_oracle = OracleSpec.bernoulli(1.0 - drop_data, rng.randrange(2**32))
-    ack_oracle = OracleSpec.bernoulli(1.0 - drop_ack, rng.randrange(2**32))
+    data_oracle = OracleSpec.bernoulli(1.0 - drop_data, _below(bits, 2**32))
+    ack_oracle = OracleSpec.bernoulli(1.0 - drop_ack, _below(bits, 2**32))
     return ScenarioSpec(
         name=f"seed-{seed}",
         payload_slots=payload_slots,

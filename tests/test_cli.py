@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -475,6 +476,20 @@ def test_test_rejects_random_scenario_flags_without_count(capsys, flag, value):
     code, out, err = run_cmd(capsys, "test", flag, value)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and flag in err and "--count" in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(0, 2**64), st.integers(-(2**64), -1)), st.integers(0, 30))
+@example(0, 100)
+@example(2**32 - 1, 5)
+def test_test_count_draws_its_seeds_as_the_stdlib_generator_does(suite_seed, count):
+    args = cli.build_parser().parse_args(["test", "--count", str(count),
+                                          "--seed", str(suite_seed)])
+    scenarios, seed = cli._test_scenarios(args)
+    rng = random.Random(f"suite:{suite_seed}")
+    assert seed == suite_seed
+    assert [scenario.seed for scenario in scenarios] == [rng.randrange(2**32)
+                                                        for _ in range(count)]
 
 
 def test_test_rejects_negative_count(capsys):
@@ -1182,9 +1197,10 @@ def _modules_after_cli_import():
 
 def test_cli_import_loads_no_heavy_stdlib_modules():
     # These cost about a third of the import on a cold start, and no output
-    # depends on them.
+    # depends on them.  `random` (about 0.6 ms) is its C generator's wrapper.
     loaded = _modules_after_cli_import()
-    assert sorted(loaded & {"dataclasses", "inspect", "ast", "dis", "importlib.resources"}) == []
+    assert sorted(loaded & {"dataclasses", "inspect", "ast", "dis", "importlib.resources",
+                            "random"}) == []
 
 
 def test_cli_import_loads_no_openssl():

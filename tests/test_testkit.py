@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -31,7 +32,7 @@ from abpsim import (
     trans_test,
 )
 from abpsim import testkit
-from abpsim.abp import build_abp_network
+from abpsim.abp import RESEND_TIMEOUT, build_abp_network
 from abpsim.golden import (
     BUNDLED_SCENARIO_NAMES,
     MACHINES,
@@ -478,6 +479,90 @@ def test_generate_scenario_degrades_to_empty_when_the_horizon_is_tiny():
 def test_generate_scenario_rejects_bad_bounds(bounds):
     with pytest.raises(ValueError):
         generate_scenario(0, bounds)
+
+
+def generate_with_random(seed, bounds=(10, 10_000, 0.5)):
+    """`generate_scenario` as stated on the stdlib's `random.Random`: the
+    draws that define a generated scenario."""
+    max_payloads, max_horizon, drop_bound = bounds
+    if max_payloads < 0:
+        raise ValueError("max payloads must be non-negative")
+    if max_horizon < 1:
+        raise ValueError("max horizon must be at least 1")
+    if not 0.0 <= drop_bound < 1.0:
+        raise ValueError("drop probability bound must lie in [0, 1)")
+    rng = random.Random(f"scenario:{seed}")
+    drop_data = rng.uniform(0.0, drop_bound)
+    drop_ack = rng.uniform(0.0, drop_bound)
+    pass_both = (1.0 - drop_data) * (1.0 - drop_ack)
+    if pass_both >= 1.0:
+        attempts = 1
+    else:
+        attempts = max(1, math.ceil(math.log(1e-6) / math.log(1.0 - pass_both)))
+    per_message = (RESEND_TIMEOUT + 2) * attempts
+    cap = min(max_payloads, max_horizon // per_message)
+    count = rng.randint(1, cap) if cap >= 1 else 0
+    floor = min(max_horizon, count * per_message + 1)
+    if floor > testkit._HORIZON_LIMIT:
+        raise ValueError(f"scenario 'seed-{seed}': horizon of at least {floor} slots exceeds "
+                         f"the limit of {testkit._HORIZON_LIMIT} slots")
+    if count > testkit._PAYLOAD_LIMIT:
+        raise ValueError(f"scenario 'seed-{seed}': {count} payloads exceed the limit of "
+                         f"{testkit._PAYLOAD_LIMIT} payloads")
+    arrivals = sorted(rng.randrange(max(1, 2 * count)) for _ in range(count))
+    payload_slots = [[] for _ in range((arrivals[-1] + 1) if count else 0)]
+    for slot in arrivals:
+        payload_slots[slot].append(rng.randrange(10))
+    horizon = max(1, min(max_horizon, len(payload_slots) + count * per_message))
+    data_oracle = OracleSpec.bernoulli(1.0 - drop_data, rng.randrange(2**32))
+    ack_oracle = OracleSpec.bernoulli(1.0 - drop_ack, rng.randrange(2**32))
+    return ScenarioSpec(name=f"seed-{seed}", payload_slots=payload_slots, horizon=horizon,
+                        data_oracle=data_oracle, ack_oracle=ack_oracle, seed=seed)
+
+
+def _generated(generate, seed, bounds):
+    """The repr and digest of a generated scenario, or the text of the
+    `ValueError` that refuses it."""
+    try:
+        scenario = generate(seed, bounds)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return repr(scenario), scenario_digest(scenario)
+
+
+# The defaults, no payloads, many payloads on lossy media, up to the payload
+# limit on perfect media, and a horizon too short for one payload; then
+# payload counts above the limit, horizons above it, and bad bounds.
+_GENERATOR_BOUNDS = [(10, 10_000, 0.5), (0, 100, 0.2), (100, 1_000_000, 0.9),
+                     (10_000, 1_000_000, 0.0), (10, 3, 0.5)]
+_REFUSED_BOUNDS = [(1_000_000, 1_000_000, 0.0), (10_000_000, 10**12, 0.5), (-1, 100, 0.5),
+                   (5, 0, 0.5), (5, 100, 1.0), (5, 100, -0.1), (5, 100, math.nan)]
+
+
+@pytest.mark.parametrize("bounds", _GENERATOR_BOUNDS, ids=str)
+def test_generate_scenario_draws_as_the_stdlib_generator_does(bounds):
+    # Scenarios of up to 10,000 payloads take about 30 ms a pair to make
+    # and compare, so their bound takes fewer seeds.
+    for seed in range(2000 if bounds[0] < 10_000 else 40):
+        assert (_generated(generate_scenario, seed, bounds)
+                == _generated(generate_with_random, seed, bounds)), seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(0, 2**64), st.integers(-(2**64), -1)),
+       st.sampled_from(_GENERATOR_BOUNDS + _REFUSED_BOUNDS))
+@example(2**32 - 1, (10, 10_000, 0.5))
+@example(2**64, (100, 1_000_000, 0.9))
+def test_generate_scenario_draws_as_the_stdlib_generator_does_for_any_seed(seed, bounds):
+    assert (_generated(generate_scenario, seed, bounds)
+            == _generated(generate_with_random, seed, bounds))
+
+
+@pytest.mark.parametrize("bounds", _REFUSED_BOUNDS, ids=str)
+def test_generate_scenario_refuses_as_the_stdlib_generator_does(bounds):
+    outcomes = [_generated(generate_scenario, seed, bounds) for seed in range(50)]
+    assert outcomes == [_generated(generate_with_random, seed, bounds) for seed in range(50)]
+    assert ("refused", mock.ANY) in outcomes
 
 
 # ------------------------------------------------------------ identity check
